@@ -77,7 +77,9 @@ Dtype contract
 ``values_from_plan`` always returns a C-contiguous float64
 ``(n_test, n_train)`` matrix in *original training-index order*
 (see :func:`repro.types.as_value_matrix`); the multi-test Shapley
-value is its column mean by additivity (eq 8).
+value is its column mean by additivity (eq 8).  The serving layers
+ask for the column sums through ``column_sums_from_plan`` instead,
+which the ``exact`` kernel computes without materializing the matrix.
 
 Third parties can register additional kernels with
 :func:`register_kernel`; the engine accepts any registered name as a
@@ -181,10 +183,14 @@ def classification_rank_values(match_sorted: np.ndarray, k: int) -> np.ndarray:
         return s
     ranks = np.arange(1, n, dtype=np.float64)  # i = 1 .. n-1
     factors = np.minimum(float(k), ranks) / (k * ranks)
-    diffs = (match_sorted[:, :-1] - match_sorted[:, 1:]) * factors[None, :]
+    # every step runs in place in ``s``: no (n_test, n) temporaries
+    diffs = s[:, :-1]
+    np.subtract(match_sorted[:, :-1], match_sorted[:, 1:], out=diffs)
+    diffs *= factors
     # s_{alpha_i} = s_{alpha_N} + sum_{j=i}^{N-1} diff_j  -> reverse cumsum
-    tail = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-    s[:, :-1] = tail + s[:, -1:]
+    tail = diffs[:, ::-1]
+    np.cumsum(tail, axis=1, out=tail)
+    diffs += s[:, -1:]
     return s
 
 
@@ -1212,6 +1218,21 @@ class ValuationKernel(ABC):
         :mod:`repro.types`); the multi-test value is its column mean.
         """
 
+    def column_sums_from_plan(
+        self, plan: RankPlan, k: int, keep_per_test: bool = False, **params
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Column sums of :meth:`values_from_plan` — a chunk's eq-8 partial.
+
+        Returns ``(sums, per_test)``: ``sums`` is the float64
+        ``(n_train,)`` sum over the plan's test points, and
+        ``per_test`` is the :meth:`values_from_plan` matrix when
+        ``keep_per_test`` is set, else ``None``.  ``sums`` never
+        depends on ``keep_per_test``.  Kernels with a cheaper route to
+        the sums than materializing the matrix override this.
+        """
+        per_test = self.values_from_plan(plan, k, **params)
+        return per_test.sum(axis=0), per_test if keep_per_test else None
+
     # ------------------------------------------------------------------
     def _check_k(self, k: int) -> int:
         if k <= 0:
@@ -1237,10 +1258,28 @@ class ExactClassificationKernel(ValuationKernel):
     )
 
     def values_from_plan(self, plan: RankPlan, k: int) -> np.ndarray:
+        return plan.scatter(self._rank_values(plan, k))
+
+    def column_sums_from_plan(
+        self, plan: RankPlan, k: int, keep_per_test: bool = False
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Fused accumulate: rank-space values summed by training index.
+
+        One ``bincount`` over the ranking replaces the ``(n_test,
+        n_train)`` scatter and its column sum.  It adds each column's
+        values in the same test order as ``per_test.sum(axis=0)``, so
+        the sums match the unfused path exactly.
+        """
+        s_rank = self._rank_values(plan, k)
+        sums = np.bincount(
+            plan.order.ravel(), weights=s_rank.ravel(), minlength=plan.n_train
+        )
+        return sums, plan.scatter(s_rank) if keep_per_test else None
+
+    def _rank_values(self, plan: RankPlan, k: int) -> np.ndarray:
         k = self._check_k(k)
         self._require_full_ranking(plan)
-        s_rank = classification_rank_values(plan.match_sorted(), k)
-        return plan.scatter(s_rank)
+        return classification_rank_values(plan.match_sorted(), k)
 
 
 class TruncatedKernel(ValuationKernel):

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..exceptions import NotFittedError, ParameterError
 from ..knn.distance import get_metric
-from ..knn.search import stable_argsort_rows, top_k
+from ..knn.search import stable_argsort_rows, stable_sort_rows, top_k
 from ..rng import SeedLike
 from ..stats import component_stats
 
@@ -322,8 +322,7 @@ class BruteForceBackend(NeighborBackend):
         data = self._require_fitted()
         start = time.perf_counter()
         dist = get_metric(self.metric)(queries, data)
-        order = stable_argsort_rows(dist)
-        sorted_dist = np.take_along_axis(dist, order, axis=1)
+        order, sorted_dist = stable_sort_rows(dist)
         self.record_retrieval(order.shape[0], time.perf_counter() - start)
         return order, sorted_dist
 
@@ -445,11 +444,9 @@ class BlockedExactBackend(NeighborBackend):
             for ts in range(0, n, self.block_size):
                 te = min(n, ts + self.block_size)
                 buf[:, ts:te] = kernel(queries[qs:qe], data[ts:te])
-            order[qs:qe] = stable_argsort_rows(buf)
+            order[qs:qe], slab_dist = stable_sort_rows(buf)
             if sorted_dist is not None:
-                sorted_dist[qs:qe] = np.take_along_axis(
-                    buf, order[qs:qe], axis=1
-                )
+                sorted_dist[qs:qe] = slab_dist
         return order, sorted_dist
 
     # the index *is* the data matrix: base-class mutation needs no refit

@@ -131,6 +131,27 @@ def resolve_method_kernel(method: str, task: str) -> ValuationKernel:
     )
 
 
+def as_query_batch(x_test, y_test) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a valuation request's query batch.
+
+    The front-door rule shared by :class:`ValuationEngine` and the
+    shard router: a valuation is a mean over test points (eq 8), so an
+    empty batch has no value and is rejected rather than answered with
+    ``0/0``.
+
+    Raises:
+        ParameterError: If the batch has no test points.
+        DataValidationError: If ``x_test`` is not a finite matrix or
+            ``y_test`` does not match it.
+    """
+    x_test = as_float_matrix(x_test, "x_test")
+    if x_test.shape[0] == 0:
+        raise ParameterError(
+            "the query batch is empty; valuation needs at least one test point"
+        )
+    return x_test, as_label_vector(y_test, x_test.shape[0], "y_test")
+
+
 class _RWLock:
     """Many concurrent readers or one exclusive writer.
 
@@ -433,7 +454,8 @@ class ValuationEngine:
         Parameters
         ----------
         x_test, y_test:
-            The query batch (labels of the training task's type).
+            The query batch (labels of the training task's type); an
+            empty batch raises :class:`~repro.exceptions.ParameterError`.
         method:
             ``"exact"``, ``"truncated"``, ``"lsh"``, ``"weighted"``,
             ``"mc"`` (the sort-free Monte Carlo estimator of
@@ -477,8 +499,7 @@ class ValuationEngine:
             Seed for the ``method="mc"`` permutation stream; ``None``
             draws fresh entropy.
         """
-        x_test = as_float_matrix(x_test, "x_test")
-        y_test = as_label_vector(y_test, x_test.shape[0], "y_test")
+        x_test, y_test = as_query_batch(x_test, y_test)
         check_deadline = self._deadline_check(deadline_s)
         if method == "mc":
             # Monte Carlo serves from raw distances — no kernel, no
@@ -844,13 +865,14 @@ class ValuationEngine:
                     order, self.y_train, y_test[s:e], distances=dist
                 )
                 with tracer.span(f"kernel.{kernel.name}", parent=chunk):
-                    per_test = kernel.values_from_plan(plan, self.k, **params)
-                partial = per_test.sum(axis=0)
+                    partial, per_test = kernel.column_sums_from_plan(
+                        plan, self.k, store_per_test, **params
+                    )
                 return (
                     partial,
                     order if collect_order else None,
                     dist if (collect_order and need_dist) else None,
-                    per_test if store_per_test else None,
+                    per_test,
                 )
 
         results = self._run_chunks(worker, spans)

@@ -66,7 +66,12 @@ from ..types import (
     as_label_vector,
     as_new_points,
 )
-from .engine import ValuationEngine, _RWLock, resolve_method_kernel
+from .engine import (
+    ValuationEngine,
+    _RWLock,
+    as_query_batch,
+    resolve_method_kernel,
+)
 
 __all__ = ["Shard", "ShardRouter"]
 
@@ -504,16 +509,15 @@ class ShardRouter:
             the missing contribution.
 
         Raises:
-            ParameterError: On an unknown method, mismatched feature
-                count, or a capability violation (e.g. regression via
-                a classification-only kernel).
+            ParameterError: On an empty batch, an unknown method, a
+                mismatched feature count, or a capability violation
+                (e.g. regression via a classification-only kernel).
             ShardError: When a shard stays failed under the ``"fail"``
                 policy, or no shard survives under ``"partial"``.
             DeadlineExceededError: When ``deadline_s`` runs out
                 mid-request.
         """
-        x_test = as_float_matrix(x_test, "x_test")
-        y_test = as_label_vector(y_test, x_test.shape[0], "y_test")
+        x_test, y_test = as_query_batch(x_test, y_test)
         if method == "mc":
             kernel = None
             if self.task != "classification":
@@ -893,8 +897,10 @@ class ShardRouter:
                 )
                 merge_seconds += time.perf_counter() - merge_start
             with self.tracer.span(f"kernel.{kernel.name}", parent=root):
-                per_test = kernel.values_from_plan(plan, self.k, **params)
-            total[positions] += per_test.sum(axis=0)
+                partial, per_test = kernel.column_sums_from_plan(
+                    plan, self.k, store_per_test, **params
+                )
+            total[positions] += partial
             if store_per_test:
                 if complete:
                     per_test_chunks.append(per_test)

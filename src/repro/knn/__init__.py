@@ -19,6 +19,7 @@ from .search import (
     KNNSearchIndex,
     argsort_by_distance,
     stable_argsort_rows,
+    stable_sort_rows,
     top_k,
 )
 from .weights import (
@@ -37,6 +38,7 @@ __all__ = [
     "KNNSearchIndex",
     "argsort_by_distance",
     "stable_argsort_rows",
+    "stable_sort_rows",
     "top_k",
     "METRICS",
     "get_metric",

@@ -18,38 +18,65 @@ from .distance import get_metric
 __all__ = [
     "argsort_by_distance",
     "stable_argsort_rows",
+    "stable_sort_rows",
     "top_k",
     "KNNSearchIndex",
 ]
 
 
-def stable_argsort_rows(dist: np.ndarray) -> np.ndarray:
-    """Row-wise ascending argsort with ties broken by index, fast.
+def stable_sort_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ascending sort with ties broken by index, fast.
 
-    Produces exactly the permutation ``np.argsort(dist, axis=1,
-    kind="stable")`` would, but runs the O(n log n) work with numpy's
-    default introsort (several times faster than the stable mergesort
-    on large rows) and then repairs the — typically nonexistent — runs
-    of exactly equal values by sorting their indices.  Used by the
+    Returns ``(order, sorted_dist)``: for NaN-free ``dist``, ``order``
+    is exactly the permutation ``np.argsort(dist, axis=1,
+    kind="stable")`` would give, and ``sorted_dist`` equals
+    ``np.take_along_axis(dist, order, axis=1)`` bit for bit.  The
+    O(n log n) work runs with numpy's default introsort (several times
+    faster than the stable mergesort on large rows).  Introsort leaves
+    each run of exactly equal values in arbitrary index order, and
+    duplicated training rows create such runs by the hundred per row,
+    so the repair is one vectorized pass over every tied element of the
+    batch at once: a run id per element, one sort of ``(run id,
+    index)`` composite keys, written back in place.  Used by the
     valuation engine's exact backends, where the sort dominates the
     whole pipeline.
     """
     dist = np.atleast_2d(dist)
+    q, n = dist.shape
     order = np.argsort(dist, axis=1)
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    tie_next = sorted_dist[:, 1:] == sorted_dist[:, :-1]
-    if not tie_next.any():
-        return order
-    for j in np.flatnonzero(tie_next.any(axis=1)):
-        pos = np.flatnonzero(tie_next[j])
-        # group consecutive tie positions into maximal runs of equals
-        breaks = np.flatnonzero(np.diff(pos) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks, [pos.size - 1]))
-        for s, e in zip(starts, stops):
-            a, b = pos[s], pos[e] + 2  # run spans columns a .. b-1
-            order[j, a:b] = np.sort(order[j, a:b])
-    return order
+    if n == 0:
+        return order, dist[:, :0].copy()
+    # one flat take gathers every row's distances
+    shift = (np.arange(q, dtype=np.intp) * n)[:, None]
+    order += shift
+    sorted_dist = dist.take(order)
+    order -= shift
+    flat_order = order.reshape(-1)
+    flat_dist = sorted_dist.reshape(-1)
+    # tied[p]: sorted element p equals its left neighbor in the same row
+    tied = np.empty(flat_dist.size, dtype=bool)
+    np.equal(flat_dist[1:], flat_dist[:-1], out=tied[1:])
+    tied[::n] = False
+    if tied.any():
+        member = tied.copy()
+        member[:-1] |= tied[1:]
+        pos = np.flatnonzero(member)  # every element of every tie run
+        run = (np.cumsum(~tied[pos]) - 1) * n
+        keys = run + flat_order[pos]
+        keys.sort()  # runs stay in place; each run's indices ascend
+        keys -= run
+        flat_order[pos] = keys
+        # equal values may still differ in sign (-0.0 vs 0.0)
+        flat_dist[pos] = dist.take(pos - pos % n + keys)
+    return order, sorted_dist
+
+
+def stable_argsort_rows(dist: np.ndarray) -> np.ndarray:
+    """The ``order`` half of :func:`stable_sort_rows`.
+
+    Equal to ``np.argsort(dist, axis=1, kind="stable")``.
+    """
+    return stable_sort_rows(dist)[0]
 
 
 def argsort_by_distance(

@@ -6,12 +6,13 @@ Each property mirrors a theorem or axiom from the paper:
 * the Shapley axioms: group rationality, symmetry, null player;
 * the Appendix C bound |s_alpha_i| <= min(1/i, 1/K);
 * truncation error bound (Theorem 2);
-* heap == sort (Algorithm 2's data structure).
+* heap == sort (Algorithm 2's data structure);
+* the engine's fast tie-repairing sort == numpy's stable argsort.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -22,6 +23,7 @@ from repro.core import (
     truncation_rank,
 )
 from repro.core.heap import KNearestHeap
+from repro.knn import stable_argsort_rows, stable_sort_rows
 from repro.metrics import max_abs_error
 from repro.types import Dataset
 from repro.utility import KNNClassificationUtility, KNNRegressionUtility
@@ -149,3 +151,41 @@ def test_truncation_rank_consistency(data, k):
     big = truncated_knn_shapley(data, k, 1e-9)
     exact = exact_knn_shapley(data, k)
     assert max_abs_error(big.values, exact.values) < 1e-10
+
+
+@st.composite
+def tie_dense_matrices(draw):
+    """Distance-like matrices whose rows are full of exact ties."""
+    q = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    kind = draw(
+        st.sampled_from(["integers", "constant", "signed-zero", "duplicates"])
+    )
+    if kind == "integers":
+        levels = draw(st.integers(1, 8))
+        return rng.integers(0, levels, size=(q, n)).astype(np.float64)
+    if kind == "constant":
+        return np.full((q, n), rng.standard_normal())
+    if kind == "signed-zero":
+        return rng.choice(np.array([-0.0, 0.0, 1.0]), size=(q, n))
+    dist = rng.standard_normal((q, n))
+    dist[:, rng.integers(0, n, size=n // 2)] = dist[:, :1]
+    return dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=tie_dense_matrices())
+@example(dist=np.zeros((1, 1)))
+@example(dist=np.array([[0.0, -0.0, 0.0, -0.0]]))
+@example(dist=np.array([[2.0], [1.0], [2.0]]))
+def test_stable_sort_rows_matches_numpy_stable(dist):
+    expected = np.argsort(dist, axis=1, kind="stable")
+    order, sorted_dist = stable_sort_rows(dist)
+    np.testing.assert_array_equal(order, expected)
+    np.testing.assert_array_equal(stable_argsort_rows(dist), expected)
+    gathered = np.take_along_axis(dist, expected, axis=1)
+    # compared bit for bit, so -0.0 and 0.0 are told apart
+    np.testing.assert_array_equal(
+        sorted_dist.view(np.int64), gathered.view(np.int64)
+    )
