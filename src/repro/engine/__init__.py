@@ -42,8 +42,9 @@ from .backends import (
 )
 from .cache import CacheStats, RankCache, array_fingerprint, dataset_fingerprint
 from .degradation import DEFAULT_LADDER, DegradationController, PrecisionRung
-from .engine import ValuationEngine, resolve_method_kernel
+from .engine import ValuationEngine
 from .incremental import IncrementalValuator
+from .plan import resolve_method_kernel
 from .sharding import Shard, ShardRouter
 from .service import (
     MutationRequest,

@@ -17,12 +17,11 @@ bounds memory — the ``(n_test, n_train)`` rank and per-test value
 matrices of the single-shot path never fully materialize — and is what
 the cache and the parallelism hang off.
 
-The engine serves every fast path of the paper by dispatching through
-the kernel registry of :mod:`repro.core.kernels` — each request builds
-:class:`~repro.core.kernels.RankPlan` chunks from the backend and hands
-them to the named kernel, so any registered kernel (including
-third-party ones) gets batching, caching and parallel merging for
-free:
+Each request is resolved once into a
+:class:`~repro.engine.plan.RequestPlan` (kernel, retrieval kind,
+checks), so any kernel of the :mod:`repro.core.kernels` registry
+(including third-party ones) gets batching, caching and parallel
+merging for free:
 
 * ``method="exact"`` — Theorem 1 (classification) / Theorem 6
   (regression) over a full ranking; exact-search backends only.
@@ -31,15 +30,16 @@ free:
 * ``method="lsh"`` — Theorem 4: the truncated kernel over an LSH
   backend's approximate neighbors.
 * ``method="weighted"`` — Theorem 7 over a full ranking with
-  distances (classification eq 26 / regression eq 27).  The kernel
-  picks an execution path per request (``mode="auto"``: the O(N) K=1
-  collapse, the O(N·poly(K)) piecewise counting/moment paths for
-  rank-only weights on either task, or the batched configuration
-  engine — materialized within its memory budget, streaming past it —
-  see
-  :meth:`repro.core.kernels.WeightedKernel.select_path`); the chosen
-  path is surfaced in ``ValuationResult.extra["weighted_path"]`` and
-  counted in :meth:`ValuationEngine.stats`.
+  distances (classification eq 26 / regression eq 27).  The plan
+  picks the kernel's execution path per request (``mode="auto"``: the
+  O(N) K=1 collapse, the O(N·poly(K)) piecewise counting/moment paths
+  for rank-only weights on either task, or the batched configuration
+  engine — materialized within its memory budget, streaming past it);
+  the chosen path is surfaced in
+  ``ValuationResult.extra["weighted_path"]`` and counted in
+  :meth:`ValuationEngine.stats`.
+* ``method="mc"`` — Theorem 5's sort-free Monte Carlo sampler over raw
+  distances, with its certificate.
 * any other name — looked up in the kernel registry and routed by its
   :class:`~repro.core.kernels.KernelCapabilities`.
 """
@@ -55,17 +55,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.bounds import bennett_permutations, certified_epsilon
-from ..core.kernels import (
-    RankPlan,
-    ValuationKernel,
-    available_kernels,
-    get_kernel,
-    weighted_config_cache_stats,
-)
-from ..core.mcserve import mc_values_from_distances
-from ..core.truncated import truncation_rank
-from ..exceptions import DeadlineExceededError, ParameterError
+from ..core.kernels import weighted_config_cache_stats
+from ..exceptions import ParameterError
 from ..knn.distance import get_metric
 from ..monitor.tracing import NOOP_TRACER
 from ..stats import component_stats
@@ -78,79 +69,26 @@ from ..types import (
 )
 from .backends import LSHNeighborBackend, NeighborBackend, make_backend
 from .cache import RankCache, array_fingerprint
+from .plan import RequestPlan, _Budget, as_query_batch, plan_request
 
-__all__ = ["ValuationEngine", "resolve_method_kernel"]
-
-#: Built-in method names and the registered kernel each resolves to
-#: (``None`` marks task-dependent resolution).
-_METHOD_KERNELS = {
-    "exact": None,  # "exact" kernel for classification, "regression" else
-    "truncated": "truncated",
-    "lsh": "truncated",
-    "weighted": "weighted",
-}
+__all__ = ["ValuationEngine"]
 
 
 def _default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def resolve_method_kernel(method: str, task: str) -> ValuationKernel:
-    """Map a request ``method`` name to a registered valuation kernel.
+def chunk_spans(
+    n_test: int, n_train: int, size: Optional[int] = None
+) -> list[tuple[int, int]]:
+    """Split ``n_test`` test rows into ``(start, stop)`` chunks.
 
-    The single resolution rule shared by :class:`ValuationEngine` and
-    the shard router (:class:`repro.engine.sharding.ShardRouter`), so a
-    request means the same kernel wherever it lands.
-
-    Args:
-        method: ``"exact"``, ``"truncated"``, ``"lsh"``, ``"weighted"``,
-            or any name registered via
-            :func:`repro.core.kernels.register_kernel`.
-        task: ``"classification"`` or ``"regression"`` — disambiguates
-            ``"exact"``, which is task-dependent.
-
-    Returns:
-        The resolved :class:`~repro.core.kernels.ValuationKernel`.
-
-    Raises:
-        ParameterError: If ``method`` names neither a built-in method
-            nor a registered kernel.
+    The default size keeps each chunk's ``(q, n_train)`` working set
+    around 2^21 elements.
     """
-    if method in _METHOD_KERNELS:
-        name = _METHOD_KERNELS[method]
-        if name is None:
-            name = "exact" if task == "classification" else "regression"
-        return get_kernel(name)
-    if method in available_kernels():
-        # third-party kernels dispatch under their registry name
-        return get_kernel(method)
-    raise ParameterError(
-        f"unknown method {method!r}; expected one of "
-        f"{tuple(_METHOD_KERNELS)} or a registered kernel "
-        f"{available_kernels()}"
-    )
-
-
-def as_query_batch(x_test, y_test) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a valuation request's query batch.
-
-    The front-door rule shared by :class:`ValuationEngine` and the
-    shard router: a valuation is a mean over test points (eq 8), so an
-    empty batch has no value and is rejected rather than answered with
-    ``0/0``.
-
-    Raises:
-        ParameterError: If the batch has no test points.
-        DataValidationError: If ``x_test`` is not a finite matrix or
-            ``y_test`` does not match it.
-    """
-    x_test = as_float_matrix(x_test, "x_test")
-    if x_test.shape[0] == 0:
-        raise ParameterError(
-            "the query batch is empty; valuation needs at least one test point"
-        )
-    return x_test, as_label_vector(y_test, x_test.shape[0], "y_test")
-
+    if size is None:
+        size = int(max(1, min(256, 2**21 // max(1, n_train))))
+    return [(s, min(n_test, s + size)) for s in range(0, n_test, size)]
 
 class _RWLock:
     """Many concurrent readers or one exclusive writer.
@@ -301,27 +239,28 @@ class ValuationEngine:
         return int(self.x_train.shape[0])
 
     # ------------------------------------------------------------------
-    def _chunk_spans(self, n_test: int) -> list[tuple[int, int]]:
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            # keep each chunk's (q, n) working set around 2^21 elements
-            size = int(max(1, min(256, 2**21 // max(1, self.n_train))))
-        return [(s, min(n_test, s + size)) for s in range(0, n_test, size)]
-
     def _run_chunks(self, worker, spans: Sequence[tuple[int, int]]) -> list:
-        """Run ``worker(start, stop)`` over spans, possibly in threads.
+        """Run ``worker(chunk_no, start, stop)`` over spans, possibly in threads.
 
         Results come back ordered by span so the merge — and therefore
         the floating-point summation order — is deterministic.
         """
         if self.n_workers <= 1 or len(spans) <= 1:
-            return [worker(s, e) for s, e in spans]
+            return [worker(i, s, e) for i, (s, e) in enumerate(spans)]
         with ThreadPoolExecutor(
             max_workers=min(self.n_workers, len(spans))
         ) as pool:
-            futures = [pool.submit(worker, s, e) for s, e in spans]
+            futures = [
+                pool.submit(worker, i, s, e) for i, (s, e) in enumerate(spans)
+            ]
             return [f.result() for f in futures]
+
+    def _check_features(self, x_test: np.ndarray) -> None:
+        if x_test.shape[1] != self.x_train.shape[1]:
+            raise ParameterError(
+                f"x_test has {x_test.shape[1]} features, expected "
+                f"{self.x_train.shape[1]}"
+            )
 
     def _cache_key(self, test_fp: str) -> tuple:
         return (self._train_fp, test_fp, self.backend.cache_token())
@@ -431,10 +370,6 @@ class ValuationEngine:
                     self.cache.invalidate(self._train_fp)
 
     # ------------------------------------------------------------------
-    def _resolve_kernel(self, method: str) -> ValuationKernel:
-        """Map a request method to a registered valuation kernel."""
-        return resolve_method_kernel(method, self.task)
-
     def value(
         self,
         x_test: np.ndarray,
@@ -476,8 +411,8 @@ class ValuationEngine:
         mode:
             Execution-path selector for ``method="weighted"``
             (``"auto"`` | ``"piecewise"`` | ``"vectorized"`` |
-            ``"streaming"`` | ``"reference"``, see
-            :meth:`repro.core.kernels.WeightedKernel.select_path`);
+            ``"streaming"`` | ``"reference"``, resolved once per
+            request by :func:`repro.engine.plan.plan_request`);
             ignored by the other methods.  The resolved path lands in
             ``extra["weighted_path"]`` and the engine's path counters.
         deadline_s:
@@ -500,85 +435,50 @@ class ValuationEngine:
             draws fresh entropy.
         """
         x_test, y_test = as_query_batch(x_test, y_test)
-        check_deadline = self._deadline_check(deadline_s)
-        if method == "mc":
-            # Monte Carlo serves from raw distances — no kernel, no
-            # ranking — so it dispatches before kernel resolution
-            return self._value_mc(
-                x_test, y_test, epsilon, delta, n_permutations, seed,
-                store_per_test, check_deadline,
-            )
-        kernel = self._resolve_kernel(method)
-        caps = kernel.capabilities
+        budget = _Budget.admit(deadline_s)
         with self._state_lock.read():
-            if x_test.shape[1] != self.x_train.shape[1]:
-                raise ParameterError(
-                    f"x_test has {x_test.shape[1]} features, expected "
-                    f"{self.x_train.shape[1]}"
-                )
-            if self.task != "classification" and not caps.supports_regression:
-                raise ParameterError(
-                    "the truncated/LSH approximations are defined for "
-                    "classification"
-                )
-            if method == "lsh" and not isinstance(
-                self.backend, LSHNeighborBackend
-            ):
-                raise ParameterError(
-                    "method='lsh' requires the 'lsh' backend; this engine "
-                    f"runs {self.backend.name!r}"
-                )
-            params: dict = {}
-            if kernel.name == "weighted":
-                params = {"weights": weights, "task": self.task, "mode": mode}
+            self._check_features(x_test)
+            plan = plan_request(
+                method, task=self.task, k=self.k, n_train=self.n_train,
+                epsilon=epsilon, weights=weights, mode=mode, delta=delta,
+                n_permutations=n_permutations,
+            )
+            self._check_backend(plan)
+            if plan.extra.get("weighted_path") is not None:
+                self._record_weighted_path(plan.extra["weighted_path"])
             with self.tracer.span(
                 "engine.request",
                 method=method,
-                kernel=kernel.name,
+                kernel=plan.kernel_name,
                 backend=self.backend.name,
                 n_test=int(x_test.shape[0]),
                 n_train=self.n_train,
+                **plan.span_attrs,
             ) as root:
-                if caps.needs_full_ranking:
-                    result = self._value_ranked(
-                        kernel, method, x_test, y_test, params,
-                        store_per_test, root, check_deadline,
-                    )
-                else:
-                    result = self._value_topk(
-                        kernel, method, x_test, y_test, epsilon,
-                        store_per_test, root, check_deadline,
-                    )
+                result = self._execute(
+                    plan, x_test, y_test, store_per_test, budget, seed, root
+                )
             if root:
                 # summarized after the span closed, so the root's own
                 # duration is final when it lands in the result
                 result.extra["trace"] = root.summary()
             return result
 
-    @staticmethod
-    def _deadline_check(deadline_s: Optional[float]):
-        """Closure raising once ``deadline_s`` is spent; ``None`` → no-op."""
-        if deadline_s is None:
-            return lambda: None
-        if deadline_s <= 0:
-            raise DeadlineExceededError(
-                f"deadline budget already spent ({deadline_s:.4f}s remaining)",
-                deadline_s=float(deadline_s),
-                elapsed_s=0.0,
+    def _check_backend(self, plan: RequestPlan) -> None:
+        """Reject a plan this engine's backend cannot retrieve for."""
+        if plan.method == "lsh" and not isinstance(
+            self.backend, LSHNeighborBackend
+        ):
+            raise ParameterError(
+                "method='lsh' requires the 'lsh' backend, not "
+                f"{self.backend.name!r}"
             )
-        t0 = time.perf_counter()
-
-        def check() -> None:
-            elapsed = time.perf_counter() - t0
-            if elapsed >= deadline_s:
-                raise DeadlineExceededError(
-                    f"deadline of {deadline_s:.4f}s exceeded after "
-                    f"{elapsed:.4f}s",
-                    deadline_s=float(deadline_s),
-                    elapsed_s=elapsed,
-                )
-
-        return check
+        if plan.retrieval == "full" and not self.backend.supports_full_ranking:
+            raise ParameterError(
+                f"backend {self.backend.name!r} cannot produce the full "
+                f"rankings the {plan.method!r} method needs; use "
+                "method='truncated' or 'lsh'"
+            )
 
     def run(self, *args, **kwargs) -> ValuationResult:
         """Alias of :meth:`value` (the serving-layer verb)."""
@@ -642,11 +542,7 @@ class ValuationEngine:
         if k is not None and k <= 0:
             raise ParameterError(f"k must be positive, got {k}")
         with self._state_lock.read():
-            if x_test.shape[1] != self.x_train.shape[1]:
-                raise ParameterError(
-                    f"x_test has {x_test.shape[1]} features, expected "
-                    f"{self.x_train.shape[1]}"
-                )
+            self._check_features(x_test)
             start = time.perf_counter()
             with self.tracer.span(
                 "engine.retrieve",
@@ -713,11 +609,7 @@ class ValuationEngine:
         """
         x_test = as_float_matrix(x_test, "x_test")
         with self._state_lock.read():
-            if x_test.shape[1] != self.x_train.shape[1]:
-                raise ParameterError(
-                    f"x_test has {x_test.shape[1]} features, expected "
-                    f"{self.x_train.shape[1]}"
-                )
+            self._check_features(x_test)
             start = time.perf_counter()
             dist = get_metric(self.metric)(x_test, self.backend.data)
             hub = self.telemetry
@@ -781,383 +673,153 @@ class ValuationEngine:
             hub.count("engine.mutations")
 
     # ------------------------------------------------------------------
-    def _value_ranked(
+    def _execute(
         self,
-        kernel: ValuationKernel,
-        method: str,
+        plan: RequestPlan,
         x_test: np.ndarray,
         y_test: np.ndarray,
-        params: dict,
         store_per_test: bool,
+        budget: Optional[_Budget],
+        seed: Optional[int],
         root,
-        check_deadline=lambda: None,
     ) -> ValuationResult:
-        """Generic chunked execution of a full-ranking kernel.
+        """Chunked execution of a resolved plan: retrieve, kernel, merge.
 
         ``root`` is the request's root :class:`~repro.monitor.tracing.Span`
         (the shared null span when tracing is off); chunk spans parent
         to it *explicitly* because pool threads do not inherit the
-        caller's context.
+        caller's context.  Monte Carlo chunk ``i`` samples from child
+        stream ``i`` of ``seed``, deterministic under any scheduling.
         """
-        if not self.backend.supports_full_ranking:
-            raise ParameterError(
-                f"backend {self.backend.name!r} cannot produce the full "
-                f"rankings the {method!r} method needs; use "
-                "method='truncated' or 'lsh'"
-            )
-        weighted_path = None
-        if kernel.name == "weighted" and hasattr(kernel, "select_path"):
-            # resolve (and validate) the execution path once up front —
-            # the choice is deterministic, so every chunk takes it
-            weighted_path = kernel.select_path(
-                self.k,
-                params.get("weights", "inverse_distance"),
-                task=params.get("task", "classification"),
-                mode=params.get("mode", "auto"),
-                n_train=self.n_train,
-            )
-            self._record_weighted_path(weighted_path)
-            root.set("weighted_path", weighted_path)
         start = time.perf_counter()
         n, n_test = self.n_train, x_test.shape[0]
-        need_dist = kernel.capabilities.needs_distances
-        key = None
-        cached_order = None
-        cached_dist = None
-        if self.cache is not None:
-            key = self._cache_key(array_fingerprint(x_test))
-            if need_dist:
-                got = self.cache.get_ranking_with_distances(key)
-                if got is not None:
-                    cached_order, cached_dist = got
-            else:
-                cached_order = self.cache.get_ranking(key)
-            root.set("cache", "hit" if cached_order is not None else "miss")
-        else:
-            root.set("cache", "off")
-        spans = self._chunk_spans(n_test)
-        collect_order = (
-            self.cache is not None
-            and cached_order is None
-            and n_test * n <= self.cache.max_entry_elements
-        )
+        spans = chunk_spans(n_test, n, self.chunk_size)
+        fetch, store = self._retrieval(plan, x_test, root)
+        streams = None
+        if plan.retrieval == "distances":
+            streams = np.random.SeedSequence(seed).spawn(len(spans))
         tracer = self.tracer
 
-        def worker(s: int, e: int):
-            check_deadline()
+        def worker(no: int, s: int, e: int):
+            if budget is not None:
+                budget.check("between chunks")
             with tracer.span("engine.chunk", parent=root, start=s, stop=e) as chunk:
-                dist = None
-                if cached_order is not None:
-                    order = cached_order[s:e]
-                    if need_dist:
-                        dist = cached_dist[s:e]
-                else:
-                    with tracer.span(
-                        "backend.rank", parent=chunk, backend=self.backend.name
-                    ):
-                        if need_dist:
-                            order, dist = self.backend.rank_with_distances(
-                                x_test[s:e]
-                            )
-                        else:
-                            order = self.backend.rank(x_test[s:e])
-                plan = RankPlan.from_order(
-                    order, self.y_train, y_test[s:e], distances=dist
+                retrieved = fetch(s, e, chunk)
+                rng = None if streams is None else np.random.default_rng(streams[no])
+                partial, per_test = plan.chunk_partial(
+                    retrieved, self.y_train, y_test[s:e], store_per_test, rng,
+                    tracer=tracer, parent=chunk,
                 )
-                with tracer.span(f"kernel.{kernel.name}", parent=chunk):
-                    partial, per_test = kernel.column_sums_from_plan(
-                        plan, self.k, store_per_test, **params
-                    )
-                return (
-                    partial,
-                    order if collect_order else None,
-                    dist if (collect_order and need_dist) else None,
-                    per_test,
-                )
+                return partial, per_test, retrieved if store is not None else None
 
         results = self._run_chunks(worker, spans)
         with tracer.span("engine.merge", parent=root, n_chunks=len(spans)):
             merge_start = time.perf_counter()
             total = np.zeros(n, dtype=np.float64)
-            for partial, _, _, _ in results:
+            for partial, _, _ in results:
                 total += partial
             values = total / n_test
             merge_seconds = time.perf_counter() - merge_start
-        if collect_order and key is not None:
-            self.cache.put_ranking(
-                key,
-                np.concatenate([r[1] for r in results], axis=0),
-                distances=(
-                    np.concatenate([r[2] for r in results], axis=0)
-                    if need_dist
-                    else None
-                ),
-            )
+        if store is not None:
+            store([r[2] for r in results])
         elapsed = time.perf_counter() - start
         self._record_request(len(spans), elapsed, merge_seconds)
         extra = {
             "k": self.k,
             "metric": self.metric,
             "backend": self.backend.name,
-            "kernel": kernel.name,
+            **plan.extra,
             "n_chunks": len(spans),
             "n_workers": self.n_workers,
-            "cache": (
-                self.cache.stats.as_dict() if self.cache is not None else None
-            ),
             "elapsed_seconds": elapsed,
         }
-        if kernel.name == "weighted":
-            extra["weights"] = params.get("weights")
-            extra["task"] = params.get("task")
-            extra["mode"] = params.get("mode")
-            extra["weighted_path"] = weighted_path
-        if store_per_test:
-            extra["per_test"] = np.concatenate([r[3] for r in results], axis=0)
-        if method == "exact":
-            out_method = (
-                "exact" if self.task == "classification" else "exact-regression"
-            )
-        elif method == "weighted":
-            out_method = "exact-weighted"
-        else:
-            out_method = method
-        return ValuationResult(values=values, method=out_method, extra=extra)
-
-    # ------------------------------------------------------------------
-    def _value_topk(
-        self,
-        kernel: ValuationKernel,
-        method: str,
-        x_test: np.ndarray,
-        y_test: np.ndarray,
-        epsilon: float,
-        store_per_test: bool,
-        root,
-        check_deadline=lambda: None,
-    ) -> ValuationResult:
-        """Generic chunked execution of a top-``K*`` (prefix) kernel.
-
-        ``root`` is the request's root span (the shared null span when
-        tracing is off), explicitly parented into the chunk workers.
-        """
-        start = time.perf_counter()
-        n, n_test = self.n_train, x_test.shape[0]
-        k_star = truncation_rank(self.k, epsilon)
-        k_eff = min(k_star, n)
-        tracer = self.tracer
-        with tracer.span("backend.prepare", parent=root, k=k_eff):
-            self.backend.prepare(x_test, k_eff)
-        key = None
-        cached_idx = None
-        if self.cache is not None:
-            key = self._cache_key(array_fingerprint(x_test))
-            cached_idx = self.cache.get_topk(key, k_eff)
-            root.set("cache", "hit" if cached_idx is not None else "miss")
-        else:
-            root.set("cache", "off")
-        root.set("k_star", k_star)
-        spans = self._chunk_spans(n_test)
-        exactly_k = True  # rectangular results can be cached
-
-        def worker(s: int, e: int):
-            check_deadline()
-            with tracer.span("engine.chunk", parent=root, start=s, stop=e) as chunk:
-                if cached_idx is not None:
-                    idx_rows = cached_idx[s:e]
-                else:
-                    with tracer.span(
-                        "backend.query", parent=chunk, backend=self.backend.name
-                    ):
-                        idx_rows, _ = self.backend.query(x_test[s:e], k_eff)
-                rectangular = all(
-                    np.asarray(row).shape[0] == k_eff for row in idx_rows
-                )
-                plan = RankPlan.from_neighbor_rows(
-                    idx_rows, self.y_train, y_test[s:e]
-                )
-                with tracer.span(f"kernel.{kernel.name}", parent=chunk):
-                    dense = kernel.values_from_plan(
-                        plan, self.k, k_star=k_star, exact_anchor=True
-                    )
-                partial = dense.sum(axis=0)
-                return (
-                    partial,
-                    idx_rows if cached_idx is None else None,
-                    rectangular,
-                    dense if store_per_test else None,
-                )
-
-        results = self._run_chunks(worker, spans)
-        with tracer.span("engine.merge", parent=root, n_chunks=len(spans)):
-            merge_start = time.perf_counter()
-            total = np.zeros(n, dtype=np.float64)
-            for partial, _, rect, _ in results:
-                total += partial
-                exactly_k = exactly_k and rect
-            values = total / n_test
-            merge_seconds = time.perf_counter() - merge_start
-        if (
-            key is not None
-            and cached_idx is None
-            and exactly_k
-            and not isinstance(self.backend, LSHNeighborBackend)
-        ):
-            idx = np.vstack(
-                [np.asarray(r[1], dtype=np.intp).reshape(-1, k_eff) for r in results]
-            )
-            self.cache.put_topk(key, k_eff, idx)
-        elapsed = time.perf_counter() - start
-        self._record_request(len(spans), elapsed, merge_seconds)
-        extra = {
-            "k": self.k,
-            "metric": self.metric,
-            "backend": self.backend.name,
-            "kernel": kernel.name,
-            "epsilon": epsilon,
-            "k_star": k_star,
-            "n_chunks": len(spans),
-            "n_workers": self.n_workers,
-            "cache": (
+        if plan.retrieval != "distances":
+            extra["cache"] = (
                 self.cache.stats.as_dict() if self.cache is not None else None
-            ),
-            "elapsed_seconds": elapsed,
-        }
-        if isinstance(self.backend, LSHNeighborBackend):
+            )
+        if plan.retrieval == "topk" and isinstance(self.backend, LSHNeighborBackend):
             extra["delta"] = self.backend.delta
             extra["params"] = self.backend.params
             if self.backend.last_stats is not None:
                 extra["mean_candidates"] = self.backend.last_stats.mean_candidates
         if store_per_test:
-            extra["per_test"] = np.concatenate([r[3] for r in results], axis=0)
-        return ValuationResult(values=values, method=method, extra=extra)
+            extra["per_test"] = np.concatenate([r[1] for r in results], axis=0)
+        return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
-    # ------------------------------------------------------------------
-    def _value_mc(
-        self,
-        x_test: np.ndarray,
-        y_test: np.ndarray,
-        epsilon: float,
-        delta: float,
-        n_permutations: Optional[int],
-        seed: Optional[int],
-        store_per_test: bool,
-        check_deadline,
-    ) -> ValuationResult:
-        """Sort-free Monte Carlo estimation with a Theorem 5 certificate.
+    def _retrieval(self, plan: RequestPlan, x_test: np.ndarray, root):
+        """The chunk fetch for ``plan.retrieval``, under the cache rules.
 
-        The overload rung of the precision ladder: cost is
-        ``T * O(K ln N)`` heap events over raw distances per test
-        point, with ``T`` independent of N for fixed ``(epsilon,
-        delta)`` (Figure 11's flattening curve) — no ranking, no sort,
-        no kernel.  Chunk results merge by eq 8 additivity exactly
-        like the other paths, and each chunk draws its permutations
-        from its own spawned child stream so the output is
-        deterministic in ``seed`` regardless of thread scheduling.
+        Returns ``(fetch, store)``.  ``fetch(s, e, chunk)`` retrieves
+        test rows ``[s, e)`` in the form
+        :meth:`~repro.engine.plan.RequestPlan.chunk_partial` takes.
+        ``store`` is ``None`` unless the chunks' retrievals should be
+        cached — full rankings (with distances when the kernel needs
+        them) that fit one cache entry, or rectangular top-k rows from
+        a non-LSH backend — and then writes the kept chunks back after
+        the merge.  Monte Carlo scans raw distances and never touches
+        the cache.
         """
-        if self.task != "classification":
-            raise ParameterError(
-                "method='mc' replays the unweighted KNN classification "
-                "utility and is defined for classification only"
-            )
-        r = 1.0 / self.k
-        with self._state_lock.read():
-            if x_test.shape[1] != self.x_train.shape[1]:
-                raise ParameterError(
-                    f"x_test has {x_test.shape[1]} features, expected "
-                    f"{self.x_train.shape[1]}"
-                )
-            start = time.perf_counter()
-            n, n_test = self.n_train, x_test.shape[0]
-            if n_permutations is None:
-                t_budget = bennett_permutations(
-                    epsilon, delta, n, self.k, r
-                )
-                cert_eps = float(epsilon)
+        backend, tracer, cache = self.backend, self.tracer, self.cache
+        if plan.retrieval == "distances":
+            metric_fn, data = get_metric(self.metric), backend.data
+
+            def scan(s: int, e: int, chunk):
+                with tracer.span("engine.distances", parent=chunk):
+                    return metric_fn(x_test[s:e], data)
+
+            return scan, None
+        full = plan.retrieval == "full"
+        need_dist = full and plan.kernel.capabilities.needs_distances
+        k_eff = plan.k_eff
+        if not full:
+            with tracer.span("backend.prepare", parent=root, k=k_eff):
+                backend.prepare(x_test, k_eff)
+        key = cached = None
+        if cache is None:
+            root.set("cache", "off")
+        else:
+            key = self._cache_key(array_fingerprint(x_test))
+            if not full:
+                cached = cache.get_topk(key, k_eff)
+            elif need_dist:
+                cached = cache.get_ranking_with_distances(key)
             else:
-                if n_permutations <= 0:
-                    raise ParameterError(
-                        "n_permutations must be positive, got "
-                        f"{n_permutations}"
-                    )
-                t_budget = int(n_permutations)
-                # an explicit budget certifies the epsilon it buys,
-                # not the one the caller asked for
-                cert_eps = certified_epsilon(
-                    t_budget, delta, n, self.k, r
-                )
-            spans = self._chunk_spans(n_test)
-            streams = np.random.SeedSequence(seed).spawn(len(spans))
-            metric_fn = get_metric(self.metric)
-            data = self.backend.data
-            y_train = self.y_train
-            tracer = self.tracer
-            with tracer.span(
-                "engine.request",
-                method="mc",
-                backend=self.backend.name,
-                n_test=n_test,
-                n_train=n,
-                n_permutations=t_budget,
-            ) as root:
+                order = cache.get_ranking(key)
+                cached = None if order is None else (order, None)
+            root.set("cache", "miss" if cached is None else "hit")
+        if cached is not None:
+            if not full:
+                return (lambda s, e, chunk: cached[s:e]), None
+            order, dist = cached
+            return (
+                lambda s, e, chunk: (order[s:e], dist if dist is None else dist[s:e])
+            ), None
 
-                def worker(s: int, e: int):
-                    check_deadline()
-                    with tracer.span(
-                        "engine.chunk", parent=root, start=s, stop=e
-                    ) as chunk:
-                        with tracer.span("engine.distances", parent=chunk):
-                            dist = metric_fn(x_test[s:e], data)
-                        match = (
-                            y_train[None, :] == y_test[s:e, None]
-                        ).astype(np.float64)
-                        with tracer.span("kernel.mcserve", parent=chunk):
-                            per_test = mc_values_from_distances(
-                                dist,
-                                match,
-                                self.k,
-                                t_budget,
-                                np.random.default_rng(streams[spans.index((s, e))]),
-                            )
-                        return (
-                            per_test.sum(axis=0),
-                            per_test if store_per_test else None,
-                        )
+        def fetch(s: int, e: int, chunk):
+            if not full:
+                with tracer.span("backend.query", parent=chunk, backend=backend.name):
+                    return backend.query(x_test[s:e], k_eff)[0]
+            with tracer.span("backend.rank", parent=chunk, backend=backend.name):
+                if need_dist:
+                    return backend.rank_with_distances(x_test[s:e])
+                return backend.rank(x_test[s:e]), None
 
-                results = self._run_chunks(worker, spans)
-                with tracer.span(
-                    "engine.merge", parent=root, n_chunks=len(spans)
-                ):
-                    merge_start = time.perf_counter()
-                    total = np.zeros(n, dtype=np.float64)
-                    for partial, _ in results:
-                        total += partial
-                    values = total / n_test
-                    merge_seconds = time.perf_counter() - merge_start
-            elapsed = time.perf_counter() - start
-            self._record_request(len(spans), elapsed, merge_seconds)
-            extra = {
-                "k": self.k,
-                "metric": self.metric,
-                "backend": self.backend.name,
-                "kernel": "mcserve",
-                "epsilon": cert_eps,
-                "delta": float(delta),
-                "n_permutations": t_budget,
-                "certificate": {
-                    "epsilon": cert_eps,
-                    "delta": float(delta),
-                    "n_permutations": t_budget,
-                    "bound": "bennett-theorem5",
-                },
-                "n_chunks": len(spans),
-                "n_workers": self.n_workers,
-                "elapsed_seconds": elapsed,
-            }
-            if store_per_test:
-                extra["per_test"] = np.concatenate(
-                    [r[1] for r in results], axis=0
+        def store(kept: list) -> None:
+            if full:
+                orders, dists = zip(*kept)
+                cache.put_ranking(
+                    key,
+                    np.concatenate(orders, axis=0),
+                    distances=np.concatenate(dists, axis=0) if need_dist else None,
                 )
-            if root:
-                extra["trace"] = root.summary()
-            return ValuationResult(values=values, method="mc", extra=extra)
+            elif all(np.asarray(row).shape[0] == k_eff for rows in kept for row in rows):
+                rows = [np.asarray(r, dtype=np.intp).reshape(-1, k_eff) for r in kept]
+                cache.put_topk(key, k_eff, np.vstack(rows))
+
+        if key is None or (
+            x_test.shape[0] * self.n_train > cache.max_entry_elements
+            if full
+            else isinstance(backend, LSHNeighborBackend)
+        ):
+            return fetch, None
+        return fetch, store

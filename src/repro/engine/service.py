@@ -456,22 +456,14 @@ class ValuationService:
                 rung.name, time.perf_counter() - compute_start
             )
             if rung.method != "exact":
-                certificate = result.extra.get("certificate")
-                if certificate is None:
-                    # the truncated rung's Theorem 2 contract: the
-                    # max-norm error is at most 1/K*, itself <= epsilon
-                    certificate = {
-                        "epsilon": float(rung.epsilon),
-                        "delta": 0.0,
-                        "k_star": result.extra.get("k_star"),
-                        "bound": "truncation-theorem2",
-                    }
+                # every non-exact rung answers with the request plan's
+                # certificate (Theorem 2 truncation or Theorem 5 mc)
                 result.extra["degraded"] = {
                     "kind": "precision",
                     "rung": rung.name,
                     "method": rung.method,
                     "epsilon": float(rung.epsilon),
-                    "certificate": certificate,
+                    "certificate": result.extra.get("certificate"),
                     **plan_info,
                 }
                 if hub is not None:

@@ -25,11 +25,15 @@ Two sharding layouts, chosen by the additivity structure of the math:
   partial sums merge exactly: ``sum_i values_i * n_test_i / n_test``.
 
 Robustness is part of the contract: each fan-out leg has a configurable
-timeout, transient shard errors are retried once, and a failed shard
-either fails the request (``on_shard_error="fail"``) or degrades it
-(``"partial"``) — the surviving shards' exact answer is returned with
-the missing contribution bounded and recorded in
-``ValuationResult.extra["degraded"]``.
+timeout (a timed-out leg is hedged), raised shard errors retry with
+jittered exponential backoff, a per-shard circuit breaker stops
+hammering a failing shard, and a failed shard either fails the request
+(``on_shard_error="fail"``) or degrades it (``"partial"``) — the
+surviving shards' exact answer is returned with the missing
+contribution bounded and recorded in ``ValuationResult.extra["degraded"]``.
+Each request is resolved once into a
+:class:`~repro.engine.plan.RequestPlan` before any fan-out, so a
+malformed request never counts against a shard.
 
 Observability threads through the existing layers: one
 :class:`~repro.monitor.telemetry.TelemetryHub` aggregates every shard
@@ -53,10 +57,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.bounds import bennett_permutations, certified_epsilon
-from ..core.kernels import RankPlan, ValuationKernel
-from ..core.mcserve import mc_values_from_distances
-from ..core.truncated import truncation_rank
 from ..exceptions import DeadlineExceededError, ParameterError, ShardError
 from ..monitor.tracing import NOOP_TRACER
 from ..stats import component_stats
@@ -66,12 +66,8 @@ from ..types import (
     as_label_vector,
     as_new_points,
 )
-from .engine import (
-    ValuationEngine,
-    _RWLock,
-    as_query_batch,
-    resolve_method_kernel,
-)
+from .engine import ValuationEngine, _RWLock, chunk_spans
+from .plan import RequestPlan, _Budget, as_query_batch, plan_request
 
 __all__ = ["Shard", "ShardRouter"]
 
@@ -155,33 +151,6 @@ class _Breaker:
             self._failures += 1
             if self._failures >= self.threshold or self._opened_at is not None:
                 self._opened_at = self.clock()
-
-
-class _Budget:
-    """A request's remaining deadline, shrinking as hops spend it."""
-
-    def __init__(self, deadline_s: float) -> None:
-        self.deadline_s = float(deadline_s)
-        self._t0 = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._t0
-
-    def remaining(self) -> float:
-        return self.deadline_s - self.elapsed()
-
-    def expired(self) -> bool:
-        return self.remaining() <= 0
-
-    def check(self, what: str) -> None:
-        elapsed = self.elapsed()
-        if elapsed >= self.deadline_s:
-            raise DeadlineExceededError(
-                f"deadline of {self.deadline_s:.4f}s exceeded after "
-                f"{elapsed:.4f}s ({what})",
-                deadline_s=self.deadline_s,
-                elapsed_s=elapsed,
-            )
 
 
 class ShardRouter:
@@ -518,64 +487,45 @@ class ShardRouter:
                 mid-request.
         """
         x_test, y_test = as_query_batch(x_test, y_test)
-        if method == "mc":
-            kernel = None
-            if self.task != "classification":
-                raise ParameterError(
-                    "method='mc' replays the unweighted KNN classification "
-                    "utility and is defined for classification only"
-                )
-        else:
-            kernel = resolve_method_kernel(method, self.task)
         if x_test.shape[1] != self._n_features:
             raise ParameterError(
                 f"x_test has {x_test.shape[1]} features, expected "
                 f"{self._n_features}"
             )
-        if (
-            kernel is not None
-            and self.task != "classification"
-            and not kernel.capabilities.supports_regression
-        ):
-            raise ParameterError(
-                "the truncated/LSH approximations are defined for "
-                "classification"
-            )
-        budget = None
-        if deadline_s is not None:
-            budget = _Budget(deadline_s)
-            budget.check("request admission")
+        budget = _Budget.admit(deadline_s)
         start = time.perf_counter()
         with self._lock.read():
+            # resolved before any fan-out: a malformed request is the
+            # caller's fault and must never count against a shard
+            knobs = dict(
+                epsilon=epsilon, weights=weights, mode=mode, delta=delta,
+                n_permutations=n_permutations,
+            )
+            plan = plan_request(
+                method, task=self.task, k=self.k, n_train=self.n_train, **knobs
+            )
+            for shard in self.shards:
+                shard.engine._check_backend(plan)
             with self.tracer.span(
                 "router.request",
                 method=method,
-                kernel=kernel.name if kernel is not None else "mcserve",
+                kernel=plan.kernel_name,
                 sharding=self.sharding,
                 n_shards=self.n_shards,
                 n_test=int(x_test.shape[0]),
                 n_train=self.n_train,
+                **plan.span_attrs,
             ) as root:
                 if self.sharding == "test":
+                    request = dict(
+                        knobs, method=method, store_per_test=store_per_test
+                    )
                     result = self._value_test_sharded(
-                        x_test, y_test, method, epsilon, store_per_test,
-                        weights, mode, root, budget,
-                        delta, n_permutations, seed,
-                    )
-                elif method == "mc":
-                    result = self._value_data_mc(
-                        x_test, y_test, epsilon, delta, n_permutations,
-                        seed, store_per_test, root, budget,
-                    )
-                elif kernel.capabilities.needs_full_ranking:
-                    result = self._value_data_ranked(
-                        kernel, method, x_test, y_test, store_per_test,
-                        weights, mode, root, budget,
+                        plan, x_test, y_test, request, seed, root, budget
                     )
                 else:
-                    result = self._value_data_topk(
-                        kernel, method, x_test, y_test, epsilon,
-                        store_per_test, root, budget,
+                    result = self._value_data_sharded(
+                        plan, x_test, y_test, store_per_test, seed, root, budget
                     )
             if root:
                 result.extra["trace"] = root.summary()
@@ -657,7 +607,7 @@ class ShardRouter:
                         )
                     )
                     continue
-                counts["timeouts"] += 1
+                counts["shard_timeouts"] += 1
                 label = " (hedged)" if hedged else ""
                 return "fail", f"timeout after {self.shard_timeout}s{label}"
             exc: Optional[BaseException] = None
@@ -709,16 +659,20 @@ class ShardRouter:
         policy — a request whose budget is gone has no useful partial
         to serve.
         """
-        hub = self.telemetry
-        counts = {"hedges": 0, "hedge_wins": 0, "retries": 0, "timeouts": 0}
-        circuit_rejections = 0
+        counts = dict.fromkeys(
+            (
+                "shard_errors", "shard_timeouts", "retries", "hedges",
+                "hedge_wins", "circuit_open_rejections",
+            ),
+            0,
+        )
         live = []
         for i in range(self.n_shards):
             if i in failed:
                 continue
             if not self._breakers[i].allow():
                 failed[i] = "circuit open"
-                circuit_rejections += 1
+                counts["circuit_open_rejections"] += 1
                 continue
             live.append(i)
         if budget is not None:
@@ -730,7 +684,6 @@ class ShardRouter:
             for i in live
         }
         out: dict = {}
-        newly_failed = 0
         deadline_reason = None
         for i in live:
             status, payload = self._finish_leg(
@@ -741,56 +694,35 @@ class ShardRouter:
                 self._breakers[i].record(True)
             elif status == "fail":
                 failed[i] = payload
-                newly_failed += 1
+                counts["shard_errors"] += 1
                 self._breakers[i].record(False)
             else:  # deadline — the request dies, the breaker is untouched
                 failed[i] = payload
                 deadline_reason = payload
-        if newly_failed or circuit_rejections or any(counts.values()):
-            with self._ops_lock:
-                self._ops["shard_errors"] += newly_failed
-                self._ops["shard_timeouts"] += counts["timeouts"]
-                self._ops["retries"] += counts["retries"]
-                self._ops["hedges"] += counts["hedges"]
-                self._ops["hedge_wins"] += counts["hedge_wins"]
-                self._ops["circuit_open_rejections"] += circuit_rejections
-            if hub is not None:
-                for name, n in (
-                    ("router.shard_errors", newly_failed),
-                    ("router.shard_timeouts", counts["timeouts"]),
-                    ("router.retries", counts["retries"]),
-                    ("router.hedges", counts["hedges"]),
-                    ("router.hedge_wins", counts["hedge_wins"]),
-                    ("router.circuit_open_rejections", circuit_rejections),
-                ):
-                    for _ in range(n):
-                        hub.count(name)
+        if any(counts.values()):
+            self._count(**counts)
         if deadline_reason is not None:
-            with self._ops_lock:
-                self._ops["deadline_exceeded"] += 1
-            if hub is not None:
-                hub.count("router.deadline_exceeded")
+            self._count(deadline_exceeded=1)
             raise DeadlineExceededError(
                 f"request deadline spent during shard fan-out: "
                 f"{deadline_reason}",
                 deadline_s=budget.deadline_s if budget is not None else None,
                 elapsed_s=budget.elapsed() if budget is not None else None,
             )
-        if (newly_failed or circuit_rejections) and self.on_shard_error == "fail":
-            reasons = {self.shards[i].label: r for i, r in failed.items()}
+        lost = counts["shard_errors"] + counts["circuit_open_rejections"]
+        if lost and self.on_shard_error == "fail":
+            reasons = self._reasons(failed)
             raise ShardError(
                 f"{len(failed)} shard(s) failed: {reasons}", reasons=reasons
             )
         return out
 
-    def _chunk_spans(self, n_test: int) -> list[tuple[int, int]]:
-        # the engine's working-set heuristic, against the *global* n:
-        # the merged (q, n) rank matrix lives at the coordinator
-        size = int(max(1, min(256, 2**21 // max(1, self.n_train))))
-        return [(s, min(n_test, s + size)) for s in range(0, n_test, size)]
-
     def _survivors(self, failed: dict) -> tuple[np.ndarray, bool]:
-        """Global positions still served, and whether that is everything."""
+        """Global positions still served, and whether that is everything.
+
+        Raises:
+            ShardError: If no shard survives.
+        """
         if not failed:
             return np.arange(self.n_train, dtype=np.intp), True
         alive = [
@@ -799,77 +731,77 @@ class ShardRouter:
             if i not in failed
         ]
         if not alive:
-            return np.empty(0, dtype=np.intp), False
+            raise ShardError(
+                "no shard survived the request", reasons=self._reasons(failed)
+            )
         positions = np.sort(np.concatenate(alive))
         return positions, positions.shape[0] == self.n_train
 
-    def _degraded_extra(self, failed: dict, bound, semantics: str) -> dict:
-        reasons = {self.shards[i].label: r for i, r in failed.items()}
+    def _reasons(self, failed: dict) -> dict:
+        """``{shard label: failure reason}`` for the failed shards."""
+        return {self.shards[i].label: r for i, r in failed.items()}
+
+    def _degraded_extra(
+        self, failed: dict, semantics: str, unit: str, missing: int,
+        total: int, bound_per_fraction: Optional[float] = None,
+    ) -> dict:
+        """``extra["degraded"]``: which shards were lost and what it cost."""
+        reasons = self._reasons(failed)
+        fraction = missing / total if total else 0.0
         return {
             "policy": self.on_shard_error,
             "shards": sorted(reasons),
             "reasons": reasons,
-            "bound": bound,
+            "bound": (
+                None if bound_per_fraction is None
+                else bound_per_fraction * fraction
+            ),
             "semantics": semantics,
+            f"missing_{unit}": int(missing),
+            "missing_fraction": fraction,
         }
 
     # ------------------------------------------------------------------
-    def _value_data_ranked(
+    def _value_data_sharded(
         self,
-        kernel: ValuationKernel,
-        method: str,
+        plan: RequestPlan,
         x_test: np.ndarray,
         y_test: np.ndarray,
         store_per_test: bool,
-        weights: str,
-        mode: str,
+        seed: Optional[int],
         root,
         budget=None,
     ) -> ValuationResult:
-        """Data-sharded execution of a full-ranking kernel.
+        """Data-sharded execution: fan retrieval out, merge, run the plan once.
 
-        Each chunk fans ``engine.retrieve`` out, the per-shard sorted
-        rankings merge exactly (lexsort on ``(row, distance, global
-        index)`` — the single engine's distance-then-index tie-break),
-        and the kernel runs once over the merged plan.
+        Per chunk, every live shard retrieves the plan's kind for its
+        slice, the coordinator merges the slices exactly
+        (:meth:`_merge`) and runs
+        :meth:`~repro.engine.plan.RequestPlan.chunk_partial` once.  The
+        Monte Carlo budget is sized against the *full* training set, so
+        its certificate holds for any surviving subgame under the
+        ``"partial"`` policy (Theorem 5's budget grows with N).
         """
-        for shard in self.shards:
-            if not shard.engine.backend.supports_full_ranking:
-                raise ParameterError(
-                    f"backend {shard.engine.backend.name!r} cannot produce "
-                    f"the full rankings the {method!r} method needs; use "
-                    "method='truncated' or 'lsh'"
-                )
-        params: dict = {}
-        weighted_path = None
-        if kernel.name == "weighted":
-            params = {"weights": weights, "task": self.task, "mode": mode}
-            if hasattr(kernel, "select_path"):
-                weighted_path = kernel.select_path(
-                    self.k,
-                    weights,
-                    task=self.task,
-                    mode=mode,
-                    n_train=self.n_train,
-                )
-                root.set("weighted_path", weighted_path)
         n, n_test = self.n_train, x_test.shape[0]
-        if kernel.name == "weighted" and weighted_path is not None:
-            hub = self.telemetry
-            if hub is not None:
-                hub.count(f"router.weighted_path.{weighted_path}")
+        hub = self.telemetry
+        path = plan.extra.get("weighted_path")
+        if path is not None and hub is not None:
+            hub.count(f"router.weighted_path.{path}")
         failed: dict = {}
-        spans = self._chunk_spans(n_test)
+        # the engine's working-set heuristic, against the *global* n:
+        # the merged (q, n) rank matrix lives at the coordinator
+        spans = chunk_spans(n_test, self.n_train)
+        streams = None
+        if plan.retrieval == "distances":
+            streams = np.random.SeedSequence(seed).spawn(len(spans))
         total = np.zeros(n, dtype=np.float64)
         per_test_chunks: list[np.ndarray] = []
         merge_seconds = 0.0
-        for s, e in spans:
+        for chunk_no, (s, e) in enumerate(spans):
             if budget is not None:
-                budget.check("between ranked chunks")
-            chunk = x_test[s:e]
+                budget.check("between chunks")
             per_shard = self._fan_out(
-                lambda _i, sh: sh.engine.retrieve(chunk),  # noqa: B023 -
-                # consumed synchronously by _fan_out before `chunk` rebinds
+                self._retrieve_leg(plan, x_test[s:e]),
                 failed,
                 root,
                 budget=budget,
@@ -877,172 +809,68 @@ class ShardRouter:
                 stop=e,
             )
             positions, complete = self._survivors(failed)
-            if positions.shape[0] == 0:
-                raise ShardError(
-                    "no shard survived the request",
-                    reasons={
-                        self.shards[i].label: r for i, r in failed.items()
-                    },
-                )
             with self.tracer.span(
                 "router.merge", parent=root, start=s, stop=e
             ):
                 merge_start = time.perf_counter()
-                order, dist = self._merge_rankings(per_shard)
-                if not complete:
-                    # compact surviving global positions to [0, n_sub)
-                    order = np.searchsorted(positions, order)
-                plan = RankPlan.from_order(
-                    order, self._y[positions], y_test[s:e], distances=dist
-                )
+                retrieved = self._merge(plan, per_shard, positions, complete, e - s)
                 merge_seconds += time.perf_counter() - merge_start
-            with self.tracer.span(f"kernel.{kernel.name}", parent=root):
-                partial, per_test = kernel.column_sums_from_plan(
-                    plan, self.k, store_per_test, **params
-                )
+            rng = None if streams is None else np.random.default_rng(streams[chunk_no])
+            partial, per_test = plan.chunk_partial(
+                retrieved, self._y[positions], y_test[s:e], store_per_test, rng,
+                tracer=self.tracer, parent=root,
+            )
             total[positions] += partial
             if store_per_test:
-                if complete:
-                    per_test_chunks.append(per_test)
-                else:
-                    full = np.zeros((per_test.shape[0], n), dtype=np.float64)
-                    full[:, positions] = per_test
-                    per_test_chunks.append(full)
-        values = total / n_test
-        self._record_merge(merge_seconds, len(spans))
-        extra = self._result_extra(
-            kernel, method, len(spans), failed, per_test_chunks
-        )
-        if kernel.name == "weighted":
-            extra["weights"] = weights
-            extra["task"] = self.task
-            extra["mode"] = mode
-            extra["weighted_path"] = weighted_path
-        if method == "exact":
-            out_method = (
-                "exact" if self.task == "classification" else "exact-regression"
-            )
-        elif method == "weighted":
-            out_method = "exact-weighted"
-        else:
-            out_method = method
-        return ValuationResult(values=values, method=out_method, extra=extra)
-
-    def _value_data_topk(
-        self,
-        kernel: ValuationKernel,
-        method: str,
-        x_test: np.ndarray,
-        y_test: np.ndarray,
-        epsilon: float,
-        store_per_test: bool,
-        root,
-        budget=None,
-    ) -> ValuationResult:
-        """Data-sharded execution of a top-``K*`` (prefix) kernel.
-
-        Every member of the global top ``K*`` is inside its own
-        shard's top ``K*``, so merging the per-shard neighbor rows by
-        ``(distance, global index)`` and truncating reproduces the
-        single engine's rows exactly (for exact-search backends).
-        """
-        if method == "lsh":
-            from .backends import LSHNeighborBackend
-
-            if not all(
-                isinstance(s.engine.backend, LSHNeighborBackend)
-                for s in self.shards
-            ):
-                raise ParameterError(
-                    "method='lsh' requires the 'lsh' backend; this router "
-                    f"runs {self.shards[0].engine.backend.name!r}"
-                )
-        n, n_test = self.n_train, x_test.shape[0]
-        k_star = truncation_rank(self.k, epsilon)
-        k_eff = min(k_star, n)
-        root.set("k_star", k_star)
-        failed: dict = {}
-        spans = self._chunk_spans(n_test)
-        total = np.zeros(n, dtype=np.float64)
-        per_test_chunks: list[np.ndarray] = []
-        merge_seconds = 0.0
-        for s, e in spans:
-            if budget is not None:
-                budget.check("between top-k chunks")
-            chunk = x_test[s:e]
-            per_shard = self._fan_out(
-                lambda _i, sh: sh.engine.retrieve(chunk, k=k_eff),  # noqa: B023
-                failed,
-                root,
-                budget=budget,
-                start=s,
-                stop=e,
-            )
-            positions, complete = self._survivors(failed)
-            if positions.shape[0] == 0:
-                raise ShardError(
-                    "no shard survived the request",
-                    reasons={
-                        self.shards[i].label: r for i, r in failed.items()
-                    },
-                )
-            with self.tracer.span(
-                "router.merge", parent=root, start=s, stop=e
-            ):
-                merge_start = time.perf_counter()
-                rows = self._merge_topk(per_shard, e - s, k_eff)
                 if not complete:
-                    rows = [np.searchsorted(positions, r) for r in rows]
-                plan = RankPlan.from_neighbor_rows(
-                    rows, self._y[positions], y_test[s:e]
-                )
-                merge_seconds += time.perf_counter() - merge_start
-            with self.tracer.span(f"kernel.{kernel.name}", parent=root):
-                per_test = kernel.values_from_plan(
-                    plan, self.k, k_star=k_star, exact_anchor=True
-                )
-            total[positions] += per_test.sum(axis=0)
-            if store_per_test:
-                if complete:
-                    per_test_chunks.append(per_test)
-                else:
                     full = np.zeros((per_test.shape[0], n), dtype=np.float64)
                     full[:, positions] = per_test
-                    per_test_chunks.append(full)
+                    per_test = full
+                per_test_chunks.append(per_test)
         values = total / n_test
         self._record_merge(merge_seconds, len(spans))
-        extra = self._result_extra(
-            kernel, method, len(spans), failed, per_test_chunks
-        )
-        extra["epsilon"] = epsilon
-        extra["k_star"] = k_star
-        return ValuationResult(values=values, method=method, extra=extra)
+        extra = self._result_extra(plan, len(spans))
+        if store_per_test:
+            extra["per_test"] = np.concatenate(per_test_chunks, axis=0)
+        if failed:
+            extra["degraded"] = self._degraded_extra(
+                failed, "exact-subgame-over-surviving-shards", "points",
+                n - positions.shape[0], n,
+            )
+        return ValuationResult(values=values, method=plan.out_method, extra=extra)
+
+    @staticmethod
+    def _retrieve_leg(plan: RequestPlan, chunk: np.ndarray):
+        """One fan-out leg's retrieval call for ``plan.retrieval``."""
+        if plan.retrieval == "full":
+            return lambda _i, sh: sh.engine.retrieve(chunk)
+        if plan.retrieval == "topk":
+            return lambda _i, sh: sh.engine.retrieve(chunk, k=plan.k_eff)
+        return lambda _i, sh: sh.engine.distances(chunk)
 
     def _value_test_sharded(
         self,
+        plan: RequestPlan,
         x_test: np.ndarray,
         y_test: np.ndarray,
-        method: str,
-        epsilon: float,
-        store_per_test: bool,
-        weights: str,
-        mode: str,
+        request: dict,
+        seed: Optional[int],
         root,
         budget=None,
-        delta: float = 0.05,
-        n_permutations: Optional[int] = None,
-        seed: Optional[int] = None,
     ) -> ValuationResult:
         """Test-stream sharding: eq-8 partial-sum merge of full engines.
 
         Shard ``i`` values its slice of the test batch against the
         full training set; partial sums ``values_i * n_test_i`` merge
-        exactly into the batch mean.  A lost shard under the
-        ``"partial"`` policy yields the mean over the *served* tests;
-        for classification (per-test values in ``[-1, 1]``) the
-        recorded bound ``2 * missing_fraction`` caps the deviation
-        from the full-batch mean.  A request budget propagates: each
-        leg hands its shard engine whatever remains at launch time.
+        exactly into the batch mean.  ``request`` holds the
+        ``value()`` keywords every replica receives; ``seed`` becomes
+        ``seed + i`` on replica ``i`` (distinct but deterministic
+        Monte Carlo streams).  A lost shard under the ``"partial"``
+        policy yields the mean over the *served* tests; for
+        classification (per-test values in ``[-1, 1]``) the recorded
+        bound ``2 * missing_fraction`` caps the deviation from the
+        full-batch mean.  A request budget propagates: each leg hands
+        its shard engine whatever remains at launch time.
         """
         n, n_test = self.n_train, x_test.shape[0]
         slices = np.array_split(np.arange(n_test), self.n_shards)
@@ -1052,18 +880,9 @@ class ShardRouter:
             rows = slices[i]
             if rows.shape[0] == 0:
                 return None
-            kwargs: dict = {
-                "method": method,
-                "epsilon": epsilon,
-                "weights": weights,
-                "mode": mode,
-                "store_per_test": store_per_test,
-            }
-            if method == "mc":
-                kwargs["delta"] = delta
-                kwargs["n_permutations"] = n_permutations
-                # distinct but deterministic per replica
-                kwargs["seed"] = None if seed is None else seed + i
+            kwargs = dict(request)
+            if seed is not None:
+                kwargs["seed"] = seed + i
             if budget is not None:
                 # the residue at launch time, not at request entry:
                 # each hop shrinks what the next layer may spend
@@ -1074,8 +893,7 @@ class ShardRouter:
         alive = {i: r for i, r in results.items() if r is not None}
         if not alive and n_test:
             raise ShardError(
-                "no shard survived the request",
-                reasons={self.shards[i].label: r for i, r in failed.items()},
+                "no shard survived the request", reasons=self._reasons(failed)
             )
         merge_start = time.perf_counter()
         total = np.zeros(n, dtype=np.float64)
@@ -1086,156 +904,48 @@ class ShardRouter:
         values = total / max(served, 1)
         merge_seconds = time.perf_counter() - merge_start
         self._record_merge(merge_seconds, len(alive))
-        first = alive[min(alive)] if alive else None
-        extra = self._result_extra(
-            None, method, len(alive), {}, []
-        )
-        if first is not None:
-            # method-specific context (identical on every replica)
-            for key in (
-                "epsilon", "k_star", "kernel", "weights", "mode",
-                "weighted_path", "delta", "n_permutations", "certificate",
-            ):
-                if key in first.extra:
-                    extra[key] = first.extra[key]
-        if store_per_test and alive:
+        extra = self._result_extra(plan, len(alive))
+        if request["store_per_test"] and alive:
             per = np.zeros((n_test, n), dtype=np.float64)
             for i in sorted(alive):
                 per[slices[i]] = alive[i].extra["per_test"]
             extra["per_test"] = per
         if failed:
-            missing = n_test - served
-            fraction = missing / n_test if n_test else 0.0
-            bound = (
-                2.0 * fraction if self.task == "classification" else None
-            )
             extra["degraded"] = self._degraded_extra(
-                failed, bound, "mean-over-served-tests"
+                failed, "mean-over-served-tests", "tests", n_test - served,
+                n_test, 2.0 if self.task == "classification" else None,
             )
-            extra["degraded"]["missing_tests"] = int(missing)
-            extra["degraded"]["missing_fraction"] = fraction
-        return ValuationResult(
-            values=values,
-            method=first.method if first is not None else method,
-            extra=extra,
-        )
-
-    def _value_data_mc(
-        self,
-        x_test: np.ndarray,
-        y_test: np.ndarray,
-        epsilon: float,
-        delta: float,
-        n_permutations: Optional[int],
-        seed: Optional[int],
-        store_per_test: bool,
-        root,
-        budget=None,
-    ) -> ValuationResult:
-        """Data-sharded Monte Carlo: fan out raw distances, sample once.
-
-        Each shard computes its slice's distance columns
-        (:meth:`~repro.engine.engine.ValuationEngine.distances` — no
-        sort anywhere), the coordinator reassembles the global
-        ``(q, n)`` distance matrix in global-position order and runs
-        the sort-free estimator once.  The permutation budget is
-        sized against the *full* training set, so the certificate
-        stays valid for any surviving subgame under the ``"partial"``
-        policy (Theorem 5's budget grows with N).
-        """
-        n, n_test = self.n_train, x_test.shape[0]
-        r = 1.0 / self.k
-        if n_permutations is None:
-            t_budget = bennett_permutations(epsilon, delta, n, self.k, r)
-            cert_eps = float(epsilon)
-        else:
-            if n_permutations <= 0:
-                raise ParameterError(
-                    f"n_permutations must be positive, got {n_permutations}"
-                )
-            t_budget = int(n_permutations)
-            cert_eps = certified_epsilon(t_budget, delta, n, self.k, r)
-        root.set("n_permutations", t_budget)
-        failed: dict = {}
-        spans = self._chunk_spans(n_test)
-        streams = np.random.SeedSequence(seed).spawn(len(spans))
-        total = np.zeros(n, dtype=np.float64)
-        per_test_chunks: list[np.ndarray] = []
-        merge_seconds = 0.0
-        for chunk_no, (s, e) in enumerate(spans):
-            if budget is not None:
-                budget.check("between mc chunks")
-            chunk = x_test[s:e]
-            per_shard = self._fan_out(
-                lambda _i, sh: sh.engine.distances(chunk),  # noqa: B023 -
-                # consumed synchronously by _fan_out before `chunk` rebinds
-                failed,
-                root,
-                budget=budget,
-                start=s,
-                stop=e,
-            )
-            positions, complete = self._survivors(failed)
-            if positions.shape[0] == 0:
-                raise ShardError(
-                    "no shard survived the request",
-                    reasons={
-                        self.shards[i].label: r for i, r in failed.items()
-                    },
-                )
-            with self.tracer.span(
-                "router.merge", parent=root, start=s, stop=e
-            ):
-                merge_start = time.perf_counter()
-                items = sorted(per_shard.items())
-                gidx = np.concatenate(
-                    [self._placement[i] for i, _ in items]
-                )
-                dist = np.concatenate([d for _, d in items], axis=1)
-                # reassemble columns in ascending global-position
-                # order — the order `positions` (and self._y) use
-                col_order = np.argsort(gidx)
-                dist = dist[:, col_order]
-                y_sub = self._y[positions]
-                match = (
-                    y_sub[None, :] == y_test[s:e, None]
-                ).astype(np.float64)
-                merge_seconds += time.perf_counter() - merge_start
-            with self.tracer.span("kernel.mcserve", parent=root):
-                per_test = mc_values_from_distances(
-                    dist,
-                    match,
-                    self.k,
-                    t_budget,
-                    np.random.default_rng(streams[chunk_no]),
-                )
-            total[positions] += per_test.sum(axis=0)
-            if store_per_test:
-                if complete:
-                    per_test_chunks.append(per_test)
-                else:
-                    full = np.zeros((per_test.shape[0], n), dtype=np.float64)
-                    full[:, positions] = per_test
-                    per_test_chunks.append(full)
-        values = total / n_test
-        self._record_merge(merge_seconds, len(spans))
-        extra = self._result_extra(
-            None, "mc", len(spans), failed, per_test_chunks
-        )
-        extra["kernel"] = "mcserve"
-        extra["epsilon"] = cert_eps
-        extra["delta"] = float(delta)
-        extra["n_permutations"] = t_budget
-        extra["certificate"] = {
-            "epsilon": cert_eps,
-            "delta": float(delta),
-            "n_permutations": t_budget,
-            "bound": "bennett-theorem5",
-        }
-        return ValuationResult(values=values, method="mc", extra=extra)
+        return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
     # ------------------------------------------------------------------
     # exact cross-shard merges
+    def _merge(
+        self, plan: RequestPlan, per_shard: dict, positions: np.ndarray,
+        complete: bool, q: int,
+    ):
+        """Merge one chunk's per-shard retrievals into the plan's kind.
+
+        Global positions index the full training set; when shards were
+        lost they are compacted to ``[0, len(positions))`` so the
+        result addresses ``self._y[positions]``.
+        """
+        if plan.retrieval == "full":
+            order, dist = self._merge_rankings(per_shard)
+            if not complete:
+                order = np.searchsorted(positions, order)
+            return order, dist
+        if plan.retrieval == "topk":
+            rows = self._merge_topk(per_shard, q, plan.k_eff)
+            if not complete:
+                rows = [np.searchsorted(positions, r) for r in rows]
+            return rows
+        # raw distance columns: reassemble them in ascending
+        # global-position order — the order `positions` uses
+        items = sorted(per_shard.items())
+        gidx = np.concatenate([self._placement[i] for i, _ in items])
+        dist = np.concatenate([d for _, d in items], axis=1)
+        return dist[:, np.argsort(gidx)]
+
     def _merge_rankings(self, per_shard: dict) -> tuple[np.ndarray, np.ndarray]:
         """Merge per-shard full rankings into the global ranking.
 
@@ -1310,33 +1020,17 @@ class ShardRouter:
             hub.record("router.merge_seconds", merge_seconds)
             hub.record("router.chunks", n_chunks)
 
-    def _result_extra(
-        self, kernel, method: str, n_chunks: int, failed: dict,
-        per_test_chunks: list,
-    ) -> dict:
-        extra = {
+    def _result_extra(self, plan: RequestPlan, n_chunks: int) -> dict:
+        return {
             "k": self.k,
             "metric": self.metric,
             "backend": self.shards[0].engine.backend.name,
-            "kernel": kernel.name if kernel is not None else method,
+            **plan.extra,
             "sharding": self.sharding,
             "n_shards": self.n_shards,
             "n_chunks": n_chunks,
             "shards": [s.label for s in self.shards],
         }
-        if per_test_chunks:
-            extra["per_test"] = np.concatenate(per_test_chunks, axis=0)
-        if failed:
-            positions, _ = self._survivors(failed)
-            missing = self.n_train - positions.shape[0]
-            extra["degraded"] = self._degraded_extra(
-                failed, None, "exact-subgame-over-surviving-shards"
-            )
-            extra["degraded"]["missing_points"] = int(missing)
-            extra["degraded"]["missing_fraction"] = (
-                missing / self.n_train if self.n_train else 0.0
-            )
-        return extra
 
     # ------------------------------------------------------------------
     # dynamic datasets: global-index mutations routed to owning shards
@@ -1395,7 +1089,7 @@ class ShardRouter:
                     )
                 self._y = np.concatenate((self._y, y_new))
                 self._n_total += m
-            self._count_mutation()
+            self._count(mutations=1)
             return np.arange(first, first + m, dtype=np.intp)
 
     def remove_points(self, idx) -> None:
@@ -1455,14 +1149,18 @@ class ShardRouter:
                         ] - np.searchsorted(removed, self._placement[i])
                 self._y = np.delete(self._y, removed)
                 self._n_total -= idx.size
-            self._count_mutation()
+            self._count(mutations=1)
 
-    def _count_mutation(self) -> None:
+    def _count(self, **tally: int) -> None:
+        """Add to the router's counters and the hub's ``router.*`` streams."""
         with self._ops_lock:
-            self._ops["mutations"] += 1
+            for name, n in tally.items():
+                self._ops[name] += n
         hub = self.telemetry
         if hub is not None:
-            hub.count("router.mutations")
+            for name, n in tally.items():
+                for _ in range(n):
+                    hub.count(f"router.{name}")
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
