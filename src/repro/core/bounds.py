@@ -22,6 +22,7 @@ set; the same permutations serve every training point.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +37,15 @@ __all__ = [
     "bennett_qi",
     "certified_epsilon",
 ]
+
+#: solved budgets kept by :func:`bennett_permutations`; a serving
+#: process sees a handful of (epsilon, delta, k) rungs per training-set
+#: size, so this holds many mutations' worth of sizes
+_MEMO_SIZE = 256
+#: largest permutation budget the solver brackets before giving up
+_MAX_BUDGET = 2**53
+#: points per block of :func:`_bennett_exponents`' scratch arrays
+_RATE_BLOCK = 1 << 16
 
 
 def _validate(epsilon: float, delta: float, r: float) -> None:
@@ -92,45 +102,113 @@ def bennett_qi(n: int, k: int) -> np.ndarray:
     return q
 
 
-def bennett_permutations(
-    epsilon: float,
-    delta: float,
-    n: int,
-    k: int,
-    r: float,
-    max_iter: int = 200,
-) -> int:
-    """Permutation budget from Theorem 5 (Bennett's inequality).
+def _bennett_exponents(
+    epsilon: float, n: int, k: int, r: float, out: np.ndarray
+) -> np.ndarray:
+    """Per-point decay rates ``(1 - q_i^2) h(eps / ((1 - q_i^2) r))``.
 
-    Solves eq (32) for ``T*`` by bisection.  The left-hand side is
-    strictly decreasing in ``T``, so the root is unique.
+    Elementwise the same expressions as :func:`bennett_qi` and
+    :func:`bennett_h`, so the rates are bit-identical to them, but
+    evaluated in blocks: a solve at N=1e8 holds the rates and one sum
+    buffer instead of five length-N temporaries.
     """
-    _validate(epsilon, delta, r)
-    q = bennett_qi(n, k)
-    one_minus_q2 = 1.0 - q**2
-    h_vals = np.asarray(bennett_h(epsilon / (one_minus_q2 * r)))
-    exponents = one_minus_q2 * h_vals  # per-point decay rate
+    for lo in range(0, n, _RATE_BLOCK):
+        hi = min(n, lo + _RATE_BLOCK)
+        w = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        q = w - k
+        q /= w
+        q **= 2
+        np.subtract(1.0, q, out=w)  # 1 - q_i^2
+        w[: max(0, min(k, hi) - lo)] = 1.0  # q_i = 0 for the K nearest
+        u = w * r
+        np.divide(epsilon, u, out=u)
+        rate = out[lo:hi]
+        np.log1p(u, out=rate)
+        rate *= 1.0 + u
+        rate -= u
+        rate *= w
+    return out
 
-    def lhs(t: float) -> float:
-        return float(np.exp(-t * exponents).sum())
 
-    target = delta / 2.0
-    lo, hi = 0.0, 1.0
-    it = 0
-    while lhs(hi) > target:
-        hi *= 2.0
-        it += 1
-        if it > max_iter:
+def _lhs(t: int, exponents: np.ndarray, buf: np.ndarray) -> float:
+    """Eq (32)'s left-hand side ``sum_i exp(-t * rate_i)``."""
+    np.multiply(exponents, -t, out=buf)
+    np.exp(buf, out=buf)
+    return float(buf.sum())
+
+
+def _smallest_budget(
+    exponents: np.ndarray, target: float, start: int, buf: np.ndarray
+) -> int:
+    """The smallest integer ``T`` with ``lhs(T) <= target``.
+
+    ``lhs`` decreases in ``T`` and ``lhs(0) = N > target``.  Its log is
+    convex in ``T`` (a log-sum-exp of linear functions), so a Newton
+    step on ``log lhs`` from below lands at or below the root: walk up
+    from ``start`` by such steps, rounded up to whole permutations,
+    until a candidate meets the target.  That candidate is almost
+    always ``T`` itself, so ``T - 1`` is probed first before an integer
+    bisection closes the bracket.  Every candidate is decided by an
+    exact evaluation of the sum, never by the Newton estimate.
+    """
+    lo, t = 0, max(1, start)
+    while True:
+        value = _lhs(t, exponents, buf)
+        if not value > target:
+            break
+        lo = t
+        slope = float(exponents @ buf)  # -d lhs / dT at t
+        step = math.log(value / target) * value / slope if slope > 0 else t
+        t = lo + max(1, math.ceil(min(step, _MAX_BUDGET)))
+        if t > _MAX_BUDGET:
             raise ConvergenceError(
                 "failed to bracket the Bennett permutation budget"
             )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) > target:
-            lo = mid
+    hi, probe = t, t - 1
+    while hi - lo > 1:
+        if _lhs(probe, exponents, buf) > target:
+            lo = probe
         else:
-            hi = mid
-    return int(math.ceil(hi))
+            hi = probe
+        probe = (lo + hi) // 2
+    return hi
+
+
+def _approx_start(epsilon: float, delta: float, k: int, r: float) -> int:
+    """Eq 34's budget, or 1 where it is undefined.
+
+    Eq 34 keeps only the K nearest points' terms of eq (32), so it
+    sits at or just below Theorem 5's budget: the search's start.
+    """
+    h_val = float(bennett_h(epsilon / r))
+    start = math.log(2.0 * k / delta) / h_val if h_val > 0 else math.inf
+    return int(math.ceil(start)) if start < _MAX_BUDGET else 1
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo_budget(epsilon: float, delta: float, n: int, k: int, r: float) -> int:
+    exponents = _bennett_exponents(epsilon, n, k, r, np.empty(n))
+    start = _approx_start(epsilon, delta, k, r)
+    return _smallest_budget(exponents, delta / 2.0, start, np.empty(n))
+
+
+def bennett_permutations(
+    epsilon: float, delta: float, n: int, k: int, r: float
+) -> int:
+    """Permutation budget from Theorem 5 (Bennett's inequality).
+
+    The smallest integer ``T`` whose eq (32) left-hand side is at most
+    ``delta / 2``.  The left-hand side strictly decreases in ``T``, so
+    an integer search finds it, starting from the eq-34 estimate
+    (:func:`bennett_approx_permutations`): typically two or three O(N)
+    sums.  Budgets are memoized in a bounded LRU keyed by
+    ``(epsilon, delta, n, k, r)``, so a serving rung pays the solve
+    once per training-set size.
+    """
+    _validate(epsilon, delta, r)
+    if n <= 0 or k <= 0:
+        raise ParameterError(f"n and k must be positive, got n={n}, k={k}")
+    return _memo_budget(float(epsilon), float(delta), int(n), int(k), float(r))
 
 
 def bennett_approx_permutations(
@@ -166,6 +244,10 @@ def certified_epsilon(
     layer's Monte Carlo precision rung records next to each degraded
     result, so an operator (or the benchmark gate) can hard-check the
     measured error against it.
+
+    A budget fits exactly when eq (32)'s left-hand side at ``T`` is at
+    most ``delta / 2``, so the bisection over ``epsilon`` tests that
+    one O(N) sum per step instead of solving for a budget.
     """
     if n_permutations <= 0:
         raise ParameterError(
@@ -175,11 +257,23 @@ def certified_epsilon(
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if r <= 0:
         raise ParameterError(f"range r must be positive, got {r}")
-    # bennett_permutations is strictly decreasing in epsilon; bracket
-    # then bisect for the smallest epsilon whose budget fits
+    if n <= 0 or k <= 0:
+        raise ParameterError(f"n and k must be positive, got n={n}, k={k}")
+    n, k, r = int(n), int(k), float(r)
+    target = delta / 2.0
+    rates = np.empty(n)
+
+    def too_loose(eps: float) -> bool:
+        # eps's budget exceeds n_permutations exactly when its eq (32)
+        # left-hand side at n_permutations is still above the target
+        _bennett_exponents(eps, n, k, r, rates)
+        return _lhs(n_permutations, rates, rates) > target
+
+    # strictly decreasing in epsilon; bracket then bisect for the
+    # smallest epsilon whose budget fits
     lo, hi = 0.0, float(r)
     it = 0
-    while bennett_permutations(hi, delta, n, k, r) > n_permutations:
+    while too_loose(hi):
         hi *= 2.0
         it += 1
         if it > max_iter:
@@ -188,9 +282,9 @@ def certified_epsilon(
             )
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if bennett_permutations(mid, delta, n, k, r) > n_permutations:
+        if mid <= lo or mid >= hi:
+            break  # converged: later steps would not move hi
+        if too_loose(mid):
             lo = mid
         else:
             hi = mid

@@ -17,10 +17,17 @@ every insertion, :func:`mc_values_from_distances`
 1. works directly on **raw distances** — no ranking, no sort: the
    heap of the K smallest distances seen so far is the K-NN set of the
    permutation prefix, by definition;
-2. **skip-scans** between heap events with vectorized numpy block
-   comparisons against the current K-th smallest distance, so the
-   Python-level loop runs ``O(K ln N)`` times per permutation while
-   the O(N) scan work stays in C.
+2. is **event-driven**: it gathers one distance row in permutation
+   order and scans it in blocks that grow fourfold with the prefix
+   length.  One vectorized comparison against the K-th smallest
+   distance at the block's start finds every candidate (the threshold
+   only falls inside a block), and a Python walk over the few
+   candidates replays the heap against the live threshold.  A block
+   ``[t, 4t)`` holds about 3K candidates, so each permutation costs
+   one O(N) gather and compare in C plus ``O(K ln N)`` Python steps;
+3. looks labels up and **scatters sparsely**: match labels are read
+   only at event positions, and only the events' contributions are
+   added to the value matrix.
 
 The estimator is unbiased for the unweighted KNN classification
 utility (the same utility :class:`~repro.core.montecarlo` replays:
@@ -42,49 +49,41 @@ from ..exceptions import DataValidationError, ParameterError
 
 __all__ = ["mc_values_from_distances"]
 
-#: elements compared per vectorized skip-scan step; big enough that the
-#: Python-level loop overhead amortizes, small enough that a scan which
-#: finds an early event has not touched much dead tail
-_SCAN_BLOCK = 2048
 
+def _events(d: np.ndarray, k: int) -> tuple[list[int], list[int]]:
+    """Replay one permutation's K-nearest heap over the distances ``d``.
 
-def _one_permutation(
-    d: np.ndarray, m: np.ndarray, k: int, out: np.ndarray, block: int
-) -> None:
-    """Accumulate one permutation's marginals into ``out`` (permuted order).
-
-    ``d``/``m`` are the distance and match vectors already gathered in
-    permutation order; ``out[t]`` receives the marginal contribution of
-    the point inserted at time ``t``.
+    ``d`` is one distance row in permutation order.  Returns the
+    insertion times ``t`` at which the point joined the neighbor set
+    and, for each, the time of the point it evicted (``-1`` while the
+    prefix is shorter than K).
     """
     n = d.shape[0]
     heap: list[tuple[float, int]] = []  # max-heap by distance: (-d, t)
-    t = 0
+    head = min(k, n)
+    for t, dist in enumerate(d[:head].tolist()):
+        # prefix smaller than K: every insertion joins the neighbor
+        # set and evicts nobody
+        heapq.heappush(heap, (-dist, t))
+    times, evicted = list(range(head)), [-1] * head
+    t = head
     while t < n:
-        if len(heap) < k:
-            # prefix smaller than K: every insertion joins the
-            # neighbor set and evicts nobody
-            heapq.heappush(heap, (-d[t], t))
-            out[t] += m[t] / k
-            t += 1
-            continue
-        # skip-scan: the next event is the first remaining point
-        # closer than the current K-th nearest
-        threshold = -heap[0][0]
-        event = -1
-        while t < n:
-            stop = min(n, t + block)
-            hits = np.flatnonzero(d[t:stop] < threshold)
-            if hits.size:
-                event = t + int(hits[0])
-                break
-            t = stop
-        if event < 0:
-            return
-        t = event
-        _, evicted = heapq.heapreplace(heap, (-d[t], t))
-        out[t] += (m[t] - m[evicted]) / k
-        t += 1
+        # [t, 4t) holds ~3K candidates: few enough to walk in Python,
+        # and only log_4(N / K) vectorized compares per row
+        stop = min(n, 4 * t)
+        block = d[t:stop]
+        # the threshold only falls inside the block, so every event is
+        # among the points closer than the block-start threshold
+        limit = -heap[0][0]
+        hits = (block < limit).nonzero()[0]
+        for i, dist in zip(hits.tolist(), block[hits].tolist()):
+            if dist < limit:
+                _, out = heapq.heapreplace(heap, (-dist, t + i))
+                times.append(t + i)
+                evicted.append(out)
+                limit = -heap[0][0]
+        t = stop
+    return times, evicted
 
 
 def mc_values_from_distances(
@@ -93,7 +92,6 @@ def mc_values_from_distances(
     k: int,
     n_permutations: int,
     rng: np.random.Generator,
-    block: int = _SCAN_BLOCK,
 ) -> np.ndarray:
     """Per-test Monte Carlo Shapley estimates from raw distances.
 
@@ -134,17 +132,17 @@ def mc_values_from_distances(
         )
     q, n = dist.shape
     values = np.zeros((q, n), dtype=np.float64)
-    buf = np.empty(n, dtype=np.float64)
     for _ in range(n_permutations):
         perm = rng.permutation(n)
         for j in range(q):
-            # per-row 1-D take: contiguous-source gathers are several
-            # times faster than one strided (q, n) column gather
-            d_perm = dist[j].take(perm)
-            m_perm = match[j].take(perm)
-            buf[:] = 0.0
-            _one_permutation(d_perm, m_perm, k, buf, block)
+            # per-row 1-D take of the distances alone; labels are read
+            # only at the events
+            times, evicted = _events(dist[j].take(perm), k)
+            points = perm[times]
+            evicted = np.asarray(evicted)
+            m_in = match[j, points]
+            m_out = np.where(evicted >= 0, match[j, perm[evicted]], 0.0)
             # perm holds unique indices, so fancy += is a scatter
-            values[j, perm] += buf
+            values[j, points] += (m_in - m_out) / k
     values /= n_permutations
     return values

@@ -438,23 +438,22 @@ class ValuationEngine:
         budget = _Budget.admit(deadline_s)
         with self._state_lock.read():
             self._check_features(x_test)
-            plan = plan_request(
-                method, task=self.task, k=self.k, n_train=self.n_train,
-                epsilon=epsilon, weights=weights, mode=mode, delta=delta,
-                n_permutations=n_permutations,
-            )
-            self._check_backend(plan)
-            if plan.extra.get("weighted_path") is not None:
-                self._record_weighted_path(plan.extra["weighted_path"])
             with self.tracer.span(
                 "engine.request",
                 method=method,
-                kernel=plan.kernel_name,
                 backend=self.backend.name,
                 n_test=int(x_test.shape[0]),
                 n_train=self.n_train,
-                **plan.span_attrs,
             ) as root:
+                plan = plan_request(
+                    method, task=self.task, k=self.k, n_train=self.n_train,
+                    epsilon=epsilon, weights=weights, mode=mode, delta=delta,
+                    n_permutations=n_permutations,
+                )
+                self._check_backend(plan)
+                if plan.extra.get("weighted_path") is not None:
+                    self._record_weighted_path(plan.extra["weighted_path"])
+                plan.annotate(root)
                 result = self._execute(
                     plan, x_test, y_test, store_per_test, budget, seed, root
                 )

@@ -169,11 +169,16 @@ class RequestPlan:
         """The name ``kernel.<name>`` spans and ``extra["kernel"]`` use."""
         return self.extra["kernel"]
 
-    @property
-    def span_attrs(self) -> dict:
-        """The request-span attributes this plan resolved."""
-        names = ("k_star", "weighted_path", "n_permutations")
-        return {n: self.extra[n] for n in names if self.extra.get(n) is not None}
+    def annotate(self, span) -> None:
+        """Set the request-span attributes this plan resolved.
+
+        The request span opens before the plan is resolved, so the
+        resolution (the Theorem 5 solve included) is timed inside it.
+        """
+        span.set("kernel", self.kernel_name)
+        for name in ("k_star", "weighted_path", "n_permutations"):
+            if self.extra.get(name) is not None:
+                span.set(name, self.extra[name])
 
     def chunk_partial(
         self,

@@ -495,27 +495,27 @@ class ShardRouter:
         budget = _Budget.admit(deadline_s)
         start = time.perf_counter()
         with self._lock.read():
-            # resolved before any fan-out: a malformed request is the
-            # caller's fault and must never count against a shard
-            knobs = dict(
-                epsilon=epsilon, weights=weights, mode=mode, delta=delta,
-                n_permutations=n_permutations,
-            )
-            plan = plan_request(
-                method, task=self.task, k=self.k, n_train=self.n_train, **knobs
-            )
-            for shard in self.shards:
-                shard.engine._check_backend(plan)
             with self.tracer.span(
                 "router.request",
                 method=method,
-                kernel=plan.kernel_name,
                 sharding=self.sharding,
                 n_shards=self.n_shards,
                 n_test=int(x_test.shape[0]),
                 n_train=self.n_train,
-                **plan.span_attrs,
             ) as root:
+                # resolved before any fan-out: a malformed request is
+                # the caller's fault and must never count against a shard
+                knobs = dict(
+                    epsilon=epsilon, weights=weights, mode=mode, delta=delta,
+                    n_permutations=n_permutations,
+                )
+                plan = plan_request(
+                    method, task=self.task, k=self.k, n_train=self.n_train,
+                    **knobs,
+                )
+                for shard in self.shards:
+                    shard.engine._check_backend(plan)
+                plan.annotate(root)
                 if self.sharding == "test":
                     request = dict(
                         knobs, method=method, store_per_test=store_per_test

@@ -1,12 +1,20 @@
 """Tests for request tracing across facade, engine, and service."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+import repro.engine.plan as plan_module
 from repro.datasets import gaussian_blobs
-from repro.engine import ValuationEngine, ValuationRequest, ValuationService
+from repro.engine import (
+    ShardRouter,
+    ValuationEngine,
+    ValuationRequest,
+    ValuationService,
+)
+from repro.exceptions import ParameterError
 from repro.monitor import NOOP_TRACER, TelemetryHub, TraceContext, TraceLog, Tracer
 from repro.monitor.dump import format_trace, group_traces, load_spans, main
 from repro.valuation import KNNShapleyValuator
@@ -112,6 +120,44 @@ def test_weighted_request_records_execution_path(data):
         "reference",
     )
     assert "kernel.weighted" in _names(tree)
+
+
+@pytest.mark.parametrize("topology", ["engine", "router"])
+def test_plan_resolution_is_timed_inside_the_request_span(data, monkeypatch, topology):
+    # the Theorem 5 solve is part of the request, not of whoever
+    # called it: a slow solve must show up in the request span
+    def slow_budget(*args):
+        time.sleep(0.05)
+        return 3
+
+    monkeypatch.setattr(plan_module, "bennett_permutations", slow_budget)
+    tracer = Tracer()
+    if topology == "engine":
+        engine = ValuationEngine(data.x_train, data.y_train, 3).attach_tracer(tracer)
+        result = engine.value(data.x_test, data.y_test, method="mc", seed=0)
+    else:
+        with ShardRouter(
+            data.x_train, data.y_train, 3, n_shards=2, tracer=tracer
+        ) as router:
+            result = router.value(data.x_test, data.y_test, method="mc", seed=0)
+    tree = result.extra["trace"]
+    assert tree["name"] == f"{topology}.request"
+    assert tree["seconds"] >= 0.05
+    assert tree["attributes"]["kernel"] == "mcserve"
+    assert tree["attributes"]["n_permutations"] == 3
+
+
+def test_request_rejected_at_planning_closes_its_span(data):
+    log = TraceLog()
+    engine = ValuationEngine(data.x_train, data.y_train, 3).attach_tracer(
+        Tracer(log=log)
+    )
+    with pytest.raises(ParameterError):
+        engine.value(data.x_test, data.y_test, method="no-such-method")
+    (record,) = log.records()
+    assert record["name"] == "engine.request"
+    assert record["attributes"]["error"] == "ParameterError"
+    assert "kernel" not in record["attributes"]
 
 
 def test_mutations_are_traced(data):
