@@ -49,9 +49,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -89,6 +88,12 @@ def chunk_spans(
     if size is None:
         size = int(max(1, min(256, 2**21 // max(1, n_train))))
     return [(s, min(n_test, s + size)) for s in range(0, n_test, size)]
+
+
+def _stack(parts) -> np.ndarray:
+    """Chunks stacked along the test axis; one chunk is kept as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
 
 class _RWLock:
     """Many concurrent readers or one exclusive writer.
@@ -239,22 +244,6 @@ class ValuationEngine:
         return int(self.x_train.shape[0])
 
     # ------------------------------------------------------------------
-    def _run_chunks(self, worker, spans: Sequence[tuple[int, int]]) -> list:
-        """Run ``worker(chunk_no, start, stop)`` over spans, possibly in threads.
-
-        Results come back ordered by span so the merge — and therefore
-        the floating-point summation order — is deterministic.
-        """
-        if self.n_workers <= 1 or len(spans) <= 1:
-            return [worker(i, s, e) for i, (s, e) in enumerate(spans)]
-        with ThreadPoolExecutor(
-            max_workers=min(self.n_workers, len(spans))
-        ) as pool:
-            futures = [
-                pool.submit(worker, i, s, e) for i, (s, e) in enumerate(spans)
-            ]
-            return [f.result() for f in futures]
-
     def _check_features(self, x_test: np.ndarray) -> None:
         if x_test.shape[1] != self.x_train.shape[1]:
             raise ParameterError(
@@ -549,17 +538,15 @@ class ValuationEngine:
                 n_test=int(x_test.shape[0]),
                 k=-1 if k is None else int(k),
             ) as span:
-                if k is None:
-                    if not self.backend.supports_full_ranking:
-                        raise ParameterError(
-                            f"backend {self.backend.name!r} cannot produce "
-                            "full rankings; retrieve with an explicit k"
-                        )
-                    out = self._retrieve_ranked(x_test, span)
-                else:
-                    k_eff = min(int(k), self.n_train)
-                    self.backend.prepare(x_test, k_eff)
-                    out = self.backend.query(x_test, k_eff)
+                if k is None and not self.backend.supports_full_ranking:
+                    raise ParameterError(
+                        f"backend {self.backend.name!r} cannot produce "
+                        "full rankings; retrieve with an explicit k"
+                    )
+                out = self._retrieve_all(
+                    "full" if k is None else "topk", x_test, span,
+                    k_eff=None if k is None else min(int(k), self.n_train),
+                )
             hub = self.telemetry
             if hub is not None:
                 hub.count("engine.retrievals")
@@ -567,26 +554,6 @@ class ValuationEngine:
                     "engine.retrieve_seconds", time.perf_counter() - start
                 )
             return out
-
-    def _retrieve_ranked(self, x_test: np.ndarray, span):
-        """Full-ranking retrieval through the rank cache."""
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(array_fingerprint(x_test))
-            got = self.cache.get_ranking_with_distances(key)
-            if got is not None:
-                span.set("cache", "hit")
-                return got
-            span.set("cache", "miss")
-        else:
-            span.set("cache", "off")
-        order, dist = self.backend.rank_with_distances(x_test)
-        if (
-            key is not None
-            and order.size <= self.cache.max_entry_elements
-        ):
-            self.cache.put_ranking(key, order, distances=dist)
-        return order, dist
 
     def distances(self, x_test: np.ndarray) -> np.ndarray:
         """Raw test-to-train distances, no ranking and no sort.
@@ -610,7 +577,7 @@ class ValuationEngine:
         with self._state_lock.read():
             self._check_features(x_test)
             start = time.perf_counter()
-            dist = get_metric(self.metric)(x_test, self.backend.data)
+            dist = self._retrieve_all("distances", x_test, None)
             hub = self.telemetry
             if hub is not None:
                 hub.count("engine.distance_scans")
@@ -618,6 +585,17 @@ class ValuationEngine:
                     "engine.distances_seconds", time.perf_counter() - start
                 )
             return dist
+
+    def _retrieve_all(self, kind: str, x_test: np.ndarray, span, k_eff=None):
+        """A whole batch through :meth:`_retrieval`, distances included,
+        with no backend span under the leg's own ``span``."""
+        fetch, store = self._retrieval(
+            kind, x_test, span, k_eff=k_eff, need_dist=True, tracer=NOOP_TRACER
+        )
+        out = fetch(0, x_test.shape[0], span)
+        if store is not None:
+            store()
+        return out
 
     # ------------------------------------------------------------------
     # dynamic datasets: mutate the training set being valued
@@ -684,43 +662,31 @@ class ValuationEngine:
     ) -> ValuationResult:
         """Chunked execution of a resolved plan: retrieve, kernel, merge.
 
-        ``root`` is the request's root :class:`~repro.monitor.tracing.Span`
+        :meth:`RequestPlan.run_chunks` runs the chunks on this
+        engine's threads over its cache-plus-backend fetch.  ``root``
+        is the request's root :class:`~repro.monitor.tracing.Span`
         (the shared null span when tracing is off); chunk spans parent
         to it *explicitly* because pool threads do not inherit the
-        caller's context.  Monte Carlo chunk ``i`` samples from child
-        stream ``i`` of ``seed``, deterministic under any scheduling.
+        caller's context.
         """
         start = time.perf_counter()
-        n, n_test = self.n_train, x_test.shape[0]
-        spans = chunk_spans(n_test, n, self.chunk_size)
-        fetch, store = self._retrieval(plan, x_test, root)
-        streams = None
-        if plan.retrieval == "distances":
-            streams = np.random.SeedSequence(seed).spawn(len(spans))
-        tracer = self.tracer
-
-        def worker(no: int, s: int, e: int):
-            if budget is not None:
-                budget.check("between chunks")
-            with tracer.span("engine.chunk", parent=root, start=s, stop=e) as chunk:
-                retrieved = fetch(s, e, chunk)
-                rng = None if streams is None else np.random.default_rng(streams[no])
-                partial, per_test = plan.chunk_partial(
-                    retrieved, self.y_train, y_test[s:e], store_per_test, rng,
-                    tracer=tracer, parent=chunk,
-                )
-                return partial, per_test, retrieved if store is not None else None
-
-        results = self._run_chunks(worker, spans)
-        with tracer.span("engine.merge", parent=root, n_chunks=len(spans)):
-            merge_start = time.perf_counter()
-            total = np.zeros(n, dtype=np.float64)
-            for partial, _, _ in results:
-                total += partial
-            values = total / n_test
-            merge_seconds = time.perf_counter() - merge_start
+        spans = chunk_spans(x_test.shape[0], self.n_train, self.chunk_size)
+        fetch, store = self._retrieval(
+            plan.retrieval, x_test, root, k_eff=plan.k_eff,
+            need_dist=(
+                plan.retrieval == "full"
+                and plan.kernel.capabilities.needs_distances
+            ),
+        )
+        values, per_test, merge_seconds = plan.run_chunks(
+            lambda s, e, chunk: (fetch(s, e, chunk), None),
+            spans, self.y_train, y_test, store_per_test,
+            seed=seed, budget=budget, workers=self.n_workers,
+            tracer=self.tracer, parent=root,
+            chunk_span="engine.chunk", merge_span="engine.merge",
+        )
         if store is not None:
-            store([r[2] for r in results])
+            store()
         elapsed = time.perf_counter() - start
         self._record_request(len(spans), elapsed, merge_seconds)
         extra = {
@@ -742,24 +708,33 @@ class ValuationEngine:
             if self.backend.last_stats is not None:
                 extra["mean_candidates"] = self.backend.last_stats.mean_candidates
         if store_per_test:
-            extra["per_test"] = np.concatenate([r[1] for r in results], axis=0)
+            extra["per_test"] = per_test
         return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
-    def _retrieval(self, plan: RequestPlan, x_test: np.ndarray, root):
-        """The chunk fetch for ``plan.retrieval``, under the cache rules.
+    def _retrieval(
+        self,
+        kind: str,
+        x_test: np.ndarray,
+        root,
+        *,
+        k_eff: Optional[int] = None,
+        need_dist: bool = False,
+        tracer=None,
+    ):
+        """The chunk fetch for one retrieval ``kind``, under the cache rules.
 
-        Returns ``(fetch, store)``.  ``fetch(s, e, chunk)`` retrieves
-        test rows ``[s, e)`` in the form
-        :meth:`~repro.engine.plan.RequestPlan.chunk_partial` takes.
-        ``store`` is ``None`` unless the chunks' retrievals should be
-        cached — full rankings (with distances when the kernel needs
-        them) that fit one cache entry, or rectangular top-k rows from
-        a non-LSH backend — and then writes the kept chunks back after
-        the merge.  Monte Carlo scans raw distances and never touches
-        the cache.
+        Returns ``(fetch, store)``: ``fetch(s, e, chunk)`` retrieves test
+        rows ``[s, e)`` in the form
+        :meth:`~repro.engine.plan.RequestPlan.chunk_partial` takes, plus
+        distances with every ranking or top-k row when ``need_dist``
+        (the top-k cache holds rows only).  ``store()``, when not
+        ``None``, caches the fetched chunks once every chunk ran — full
+        rankings that fit one entry, or rectangular top-k rows from a
+        non-LSH backend.  Backend spans open through ``tracer``.
         """
-        backend, tracer, cache = self.backend, self.tracer, self.cache
-        if plan.retrieval == "distances":
+        backend, cache = self.backend, self.cache
+        tracer = self.tracer if tracer is None else tracer
+        if kind == "distances":
             metric_fn, data = get_metric(self.metric), backend.data
 
             def scan(s: int, e: int, chunk):
@@ -767,16 +742,14 @@ class ValuationEngine:
                     return metric_fn(x_test[s:e], data)
 
             return scan, None
-        full = plan.retrieval == "full"
-        need_dist = full and plan.kernel.capabilities.needs_distances
-        k_eff = plan.k_eff
+        full = kind == "full"
         if not full:
             with tracer.span("backend.prepare", parent=root, k=k_eff):
                 backend.prepare(x_test, k_eff)
         key = cached = None
         if cache is None:
             root.set("cache", "off")
-        else:
+        elif full or not need_dist:
             key = self._cache_key(array_fingerprint(x_test))
             if not full:
                 cached = cache.get_topk(key, k_eff)
@@ -797,23 +770,12 @@ class ValuationEngine:
         def fetch(s: int, e: int, chunk):
             if not full:
                 with tracer.span("backend.query", parent=chunk, backend=backend.name):
-                    return backend.query(x_test[s:e], k_eff)[0]
+                    got = backend.query(x_test[s:e], k_eff)
+                    return got if need_dist else got[0]
             with tracer.span("backend.rank", parent=chunk, backend=backend.name):
                 if need_dist:
                     return backend.rank_with_distances(x_test[s:e])
                 return backend.rank(x_test[s:e]), None
-
-        def store(kept: list) -> None:
-            if full:
-                orders, dists = zip(*kept)
-                cache.put_ranking(
-                    key,
-                    np.concatenate(orders, axis=0),
-                    distances=np.concatenate(dists, axis=0) if need_dist else None,
-                )
-            elif all(np.asarray(row).shape[0] == k_eff for rows in kept for row in rows):
-                rows = [np.asarray(r, dtype=np.intp).reshape(-1, k_eff) for r in kept]
-                cache.put_topk(key, k_eff, np.vstack(rows))
 
         if key is None or (
             x_test.shape[0] * self.n_train > cache.max_entry_elements
@@ -821,4 +783,23 @@ class ValuationEngine:
             else isinstance(backend, LSHNeighborBackend)
         ):
             return fetch, None
-        return fetch, store
+        kept: dict = {}
+
+        def fetch_kept(s: int, e: int, chunk):
+            kept[s] = fetch(s, e, chunk)
+            return kept[s]
+
+        def store() -> None:
+            chunks = [kept[s] for s in sorted(kept)]
+            if full:
+                orders, dists = zip(*chunks)
+                cache.put_ranking(
+                    key,
+                    _stack(orders),
+                    distances=_stack(dists) if need_dist else None,
+                )
+            elif all(np.asarray(row).shape[0] == k_eff for rows in chunks for row in rows):
+                rows = [np.asarray(r, dtype=np.intp).reshape(-1, k_eff) for r in chunks]
+                cache.put_topk(key, k_eff, np.vstack(rows))
+
+        return fetch_kept, store

@@ -7,18 +7,21 @@ request once, at the front door of both
 :class:`~repro.engine.engine.ValuationEngine` and
 :class:`~repro.engine.sharding.ShardRouter`: every check, the kernel,
 the retrieval kind, ``K*``, the weighted path, the Monte Carlo budget,
-the certificate and the answer's name.  Each topology then runs one
-chunk loop that fetches the plan's retrieval kind and hands it to
-:meth:`RequestPlan.chunk_partial`, so a malformed request fails with
-:class:`~repro.exceptions.ParameterError` before any chunk or shard
-is touched.
+the certificate and the answer's name, so a malformed request fails
+with :class:`~repro.exceptions.ParameterError` before any chunk or
+shard is touched.  :meth:`RequestPlan.run_chunks` is the one chunk
+flow: deadline checks, Monte Carlo streams,
+:meth:`RequestPlan.chunk_partial` and the eq-8 merge.  A topology
+supplies only how one chunk is fetched and how chunks are scheduled.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -220,6 +223,80 @@ class RequestPlan:
                     retrieved, match, self.k, self.extra["n_permutations"], rng
                 )
         return per_test.sum(axis=0), per_test if store_per_test else None
+
+    def run_chunks(
+        self,
+        fetch,
+        spans: Sequence[tuple[int, int]],
+        y_train: np.ndarray,
+        y_test: np.ndarray,
+        store_per_test: bool,
+        *,
+        seed: Optional[int] = None,
+        budget: Optional[_Budget] = None,
+        workers: int = 1,
+        tracer=NOOP_TRACER,
+        parent=None,
+        chunk_span: Optional[str] = None,
+        merge_span: Optional[str] = None,
+    ) -> tuple[np.ndarray, Optional[np.ndarray], float]:
+        """Run the plan over test-row ``spans`` and merge them by eq 8.
+
+        ``fetch(start, stop, at)`` returns one chunk's retrieval and
+        the indices of ``y_train`` it covers (``None``: all).  Chunks
+        run on up to ``workers`` threads and merge in span order; the
+        deadline is checked before each chunk, and Monte Carlo chunk
+        ``i`` samples from child stream ``i`` of ``seed``, so results
+        do not depend on scheduling.  Uncovered columns are 0.
+        ``chunk_span`` (one chunk's fetch and kernel) and
+        ``merge_span`` open under ``parent`` when named.
+
+        Returns:
+            ``(values, per_test or None, eq-8 merge seconds)``.
+        """
+        streams = None
+        if self.retrieval == "distances":
+            streams = np.random.SeedSequence(seed).spawn(len(spans))
+
+        def worker(no: int, s: int, e: int):
+            if budget is not None:
+                budget.check("between chunks")
+            with (
+                tracer.span(chunk_span, parent=parent, start=s, stop=e)
+                if chunk_span else nullcontext(parent)
+            ) as at:
+                retrieved, positions = fetch(s, e, at)
+                cols = slice(None) if positions is None else positions
+                rng = None if streams is None else np.random.default_rng(streams[no])
+                partial, per_test = self.chunk_partial(
+                    retrieved, y_train[cols], y_test[s:e], store_per_test, rng,
+                    tracer=tracer, parent=at,
+                )
+                return partial, per_test, cols
+
+        if workers <= 1 or len(spans) <= 1:
+            results = [worker(i, s, e) for i, (s, e) in enumerate(spans)]
+        else:
+            with ThreadPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+                futures = [pool.submit(worker, i, s, e) for i, (s, e) in enumerate(spans)]
+                results = [f.result() for f in futures]
+        n_test, n = y_test.shape[0], y_train.shape[0]
+        with (
+            tracer.span(merge_span, parent=parent, n_chunks=len(spans))
+            if merge_span else nullcontext()
+        ):
+            merge_start = time.perf_counter()
+            total = np.zeros(n, dtype=np.float64)
+            for partial, _, cols in results:
+                total[cols] += partial
+            values = total / n_test
+            merge_seconds = time.perf_counter() - merge_start
+        if not store_per_test:
+            return values, None, merge_seconds
+        per_test = np.zeros((n_test, n))
+        for (s, e), (_, block, cols) in zip(spans, results):
+            per_test[s:e, cols] = block
+        return values, per_test, merge_seconds
 
 
 def plan_request(

@@ -153,6 +153,20 @@ class _Breaker:
                 self._opened_at = self.clock()
 
 
+def _as_rectangle(rows, dist) -> tuple[np.ndarray, np.ndarray]:
+    """One shard's neighbor rows as a rectangle; ragged rows are padded
+    with local index 0 at ``+inf`` distance."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows, dist
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    real = np.arange(lengths.max()) < lengths[:, None]
+    local = np.zeros(real.shape, dtype=np.intp)
+    padded = np.full(real.shape, np.inf)
+    local[real] = np.concatenate(rows)
+    padded[real] = np.concatenate(dist)
+    return local, padded
+
+
 class ShardRouter:
     """Fan a valuation request across shard engines and merge exactly.
 
@@ -449,16 +463,9 @@ class ShardRouter:
         same training set.
 
         Args:
-            x_test, y_test: The query batch.
-            method: ``"exact"``, ``"truncated"``, ``"lsh"``,
-                ``"weighted"``, ``"mc"`` (Monte Carlo over fanned-out
-                raw distances, Theorem 5 certificate), or any
-                registered kernel name.
-            epsilon: Truncation target for the approximate methods.
-            store_per_test: Keep the full per-test value matrix in
-                ``extra["per_test"]``.
-            weights: Weight-function name for ``method="weighted"``.
-            mode: Execution-path selector for ``method="weighted"``.
+            x_test, y_test, method, epsilon, store_per_test, weights,
+            mode, delta, n_permutations, seed: As for the engine;
+                ``method="mc"`` fans out raw distances.
             deadline_s: Optional total budget in seconds.  The
                 remaining budget shrinks per hop: each fan-out leg's
                 timeout is capped by what is left, test-sharded legs
@@ -466,10 +473,6 @@ class ShardRouter:
                 chunk loop raises
                 :class:`~repro.exceptions.DeadlineExceededError`
                 when the budget is spent.
-            delta: Failure probability for ``method="mc"``.
-            n_permutations: Explicit Monte Carlo budget (``None``
-                sizes it from ``(epsilon, delta)``).
-            seed: Seed for the ``method="mc"`` permutation stream.
 
         Returns:
             A :class:`~repro.types.ValuationResult`; when shards were
@@ -481,11 +484,14 @@ class ShardRouter:
             ParameterError: On an empty batch, an unknown method, a
                 mismatched feature count, or a capability violation
                 (e.g. regression via a classification-only kernel).
-            ShardError: When a shard stays failed under the ``"fail"``
-                policy, or no shard survives under ``"partial"``.
+            ShardError: When the router is closed, a shard stays failed
+                under the ``"fail"`` policy, or no shard survives under
+                ``"partial"``.
             DeadlineExceededError: When ``deadline_s`` runs out
                 mid-request.
         """
+        if not self.ready:
+            raise ShardError("the router is closed")
         x_test, y_test = as_query_batch(x_test, y_test)
         if x_test.shape[1] != self._n_features:
             raise ParameterError(
@@ -717,25 +723,20 @@ class ShardRouter:
             )
         return out
 
-    def _survivors(self, failed: dict) -> tuple[np.ndarray, bool]:
-        """Global positions still served, and whether that is everything.
+    def _survivors(self, failed: dict) -> Optional[np.ndarray]:
+        """Global positions still served; ``None`` while none is lost.
 
         Raises:
             ShardError: If no shard survives.
         """
         if not failed:
-            return np.arange(self.n_train, dtype=np.intp), True
-        alive = [
-            self._placement[i]
-            for i in range(self.n_shards)
-            if i not in failed
-        ]
+            return None
+        alive = [p for i, p in enumerate(self._placement) if i not in failed]
         if not alive:
             raise ShardError(
                 "no shard survived the request", reasons=self._reasons(failed)
             )
-        positions = np.sort(np.concatenate(alive))
-        return positions, positions.shape[0] == self.n_train
+        return np.sort(np.concatenate(alive))
 
     def _reasons(self, failed: dict) -> dict:
         """``{shard label: failure reason}`` for the failed shards."""
@@ -774,32 +775,25 @@ class ShardRouter:
     ) -> ValuationResult:
         """Data-sharded execution: fan retrieval out, merge, run the plan once.
 
-        Per chunk, every live shard retrieves the plan's kind for its
-        slice, the coordinator merges the slices exactly
-        (:meth:`_merge`) and runs
-        :meth:`~repro.engine.plan.RequestPlan.chunk_partial` once.  The
-        Monte Carlo budget is sized against the *full* training set, so
-        its certificate holds for any surviving subgame under the
+        :meth:`~repro.engine.plan.RequestPlan.run_chunks` runs the
+        chunks in order over this fetch: every live shard retrieves
+        the plan's kind for its slice and the coordinator merges the
+        slices exactly (:meth:`_merge`).  Chunks run in order because
+        a shard lost in one chunk stays lost for the request.  The
+        Monte Carlo budget is sized against the *full* training set,
+        so its certificate holds for any surviving subgame under the
         ``"partial"`` policy (Theorem 5's budget grows with N).
         """
-        n, n_test = self.n_train, x_test.shape[0]
+        n = self.n_train
         hub = self.telemetry
         path = plan.extra.get("weighted_path")
         if path is not None and hub is not None:
             hub.count(f"router.weighted_path.{path}")
         failed: dict = {}
-        # the engine's working-set heuristic, against the *global* n:
-        # the merged (q, n) rank matrix lives at the coordinator
-        spans = chunk_spans(n_test, self.n_train)
-        streams = None
-        if plan.retrieval == "distances":
-            streams = np.random.SeedSequence(seed).spawn(len(spans))
-        total = np.zeros(n, dtype=np.float64)
-        per_test_chunks: list[np.ndarray] = []
         merge_seconds = 0.0
-        for chunk_no, (s, e) in enumerate(spans):
-            if budget is not None:
-                budget.check("between chunks")
+
+        def fetch(s: int, e: int, _at):
+            nonlocal merge_seconds
             per_shard = self._fan_out(
                 self._retrieve_leg(plan, x_test[s:e]),
                 failed,
@@ -808,34 +802,31 @@ class ShardRouter:
                 start=s,
                 stop=e,
             )
-            positions, complete = self._survivors(failed)
+            positions = self._survivors(failed)
             with self.tracer.span(
                 "router.merge", parent=root, start=s, stop=e
             ):
                 merge_start = time.perf_counter()
-                retrieved = self._merge(plan, per_shard, positions, complete, e - s)
+                retrieved = self._merge(plan, per_shard, positions)
                 merge_seconds += time.perf_counter() - merge_start
-            rng = None if streams is None else np.random.default_rng(streams[chunk_no])
-            partial, per_test = plan.chunk_partial(
-                retrieved, self._y[positions], y_test[s:e], store_per_test, rng,
-                tracer=self.tracer, parent=root,
-            )
-            total[positions] += partial
-            if store_per_test:
-                if not complete:
-                    full = np.zeros((per_test.shape[0], n), dtype=np.float64)
-                    full[:, positions] = per_test
-                    per_test = full
-                per_test_chunks.append(per_test)
-        values = total / n_test
+            return retrieved, positions
+
+        # the engine's working-set heuristic, against the *global* n:
+        # the merged (q, n) rank matrix lives at the coordinator
+        spans = chunk_spans(x_test.shape[0], n)
+        values, per_test, _ = plan.run_chunks(
+            fetch, spans, self._y, y_test, store_per_test,
+            seed=seed, budget=budget, tracer=self.tracer, parent=root,
+        )
         self._record_merge(merge_seconds, len(spans))
         extra = self._result_extra(plan, len(spans))
         if store_per_test:
-            extra["per_test"] = np.concatenate(per_test_chunks, axis=0)
+            extra["per_test"] = per_test
         if failed:
+            missing = sum(self._placement[i].shape[0] for i in failed)
             extra["degraded"] = self._degraded_extra(
                 failed, "exact-subgame-over-surviving-shards", "points",
-                n - positions.shape[0], n,
+                missing, n,
             )
         return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
@@ -918,98 +909,43 @@ class ShardRouter:
         return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
     # ------------------------------------------------------------------
-    # exact cross-shard merges
+    # the exact cross-shard merge
     def _merge(
-        self, plan: RequestPlan, per_shard: dict, positions: np.ndarray,
-        complete: bool, q: int,
+        self, plan: RequestPlan, per_shard: dict, positions: Optional[np.ndarray]
     ):
         """Merge one chunk's per-shard retrievals into the plan's kind.
 
-        Global positions index the full training set; when shards were
-        lost they are compacted to ``[0, len(positions))`` so the
-        result addresses ``self._y[positions]``.
+        Raw distance columns go back in ascending global-position order.
+        Neighbor rows — full rankings, top-k rows, or ragged rows padded
+        with ``+inf`` — map to global positions and take one flattened
+        ``lexsort`` on ``(row, distance, global index)``: the single
+        engine's distance-then-index order, even across the
+        non-contiguous placements mutations leave.  Top-k rows keep at
+        most ``k_eff`` real entries.  ``positions`` (lost shards)
+        compacts global positions to index ``self._y[positions]``.
         """
-        if plan.retrieval == "full":
-            order, dist = self._merge_rankings(per_shard)
-            if not complete:
-                order = np.searchsorted(positions, order)
-            return order, dist
-        if plan.retrieval == "topk":
-            rows = self._merge_topk(per_shard, q, plan.k_eff)
-            if not complete:
-                rows = [np.searchsorted(positions, r) for r in rows]
-            return rows
-        # raw distance columns: reassemble them in ascending
-        # global-position order — the order `positions` uses
         items = sorted(per_shard.items())
-        gidx = np.concatenate([self._placement[i] for i, _ in items])
-        dist = np.concatenate([d for _, d in items], axis=1)
-        return dist[:, np.argsort(gidx)]
-
-    def _merge_rankings(self, per_shard: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Merge per-shard full rankings into the global ranking.
-
-        ``per_shard[i]`` is ``(order_local, dist)`` from shard ``i``;
-        local orders map to global positions via the placement map,
-        then one flattened ``lexsort`` on ``(row, distance, global
-        index)`` reproduces the single engine's stable
-        distance-then-index order — robust to non-contiguous
-        placements after mutations, where a plain stable concatenation
-        sort would mis-break cross-shard ties.
-        """
+        if plan.retrieval == "distances":
+            gidx = np.concatenate([self._placement[i] for i, _ in items])
+            dist = np.concatenate([d for _, d in items], axis=1)
+            return dist[:, np.argsort(gidx)]
+        items = [(i, *_as_rectangle(*res)) for i, res in items]
         gidx = np.concatenate(
-            [self._placement[i][res[0]] for i, res in sorted(per_shard.items())],
-            axis=1,
+            [self._placement[i][local] for i, local, _ in items], axis=1
         )
-        dist = np.concatenate(
-            [res[1] for _, res in sorted(per_shard.items())], axis=1
-        )
+        dist = np.concatenate([d for _, _, d in items], axis=1)
         q, m = dist.shape
         rows = np.repeat(np.arange(q), m)
         flat = np.lexsort((gidx.ravel(), dist.ravel(), rows))
-        return (
-            gidx.ravel()[flat].reshape(q, m),
-            dist.ravel()[flat].reshape(q, m),
-        )
-
-    def _merge_topk(
-        self, per_shard: dict, q: int, k_eff: int
-    ) -> list[np.ndarray]:
-        """Merge per-shard top-k rows into global top-``k_eff`` rows.
-
-        Rectangular per-shard results take the vectorized lexsort path;
-        ragged rows (candidate-set backends) fall back to a per-row
-        merge.  Rows shorter than ``k_eff`` stay short — exactly like
-        a single engine whose backend found fewer neighbors.
-        """
-        items = sorted(per_shard.items())
-        rect = all(
-            isinstance(res[0], np.ndarray) and res[0].ndim == 2
-            for _, res in items
-        )
-        if rect:
-            gidx = np.concatenate(
-                [self._placement[i][res[0]] for i, res in items], axis=1
-            )
-            dist = np.concatenate([res[1] for _, res in items], axis=1)
-            m = dist.shape[1]
-            rows = np.repeat(np.arange(q), m)
-            flat = np.lexsort((gidx.ravel(), dist.ravel(), rows))
-            merged = gidx.ravel()[flat].reshape(q, m)
-            take = min(k_eff, m)
-            return list(merged[:, :take])
-        out: list[np.ndarray] = []
-        for row in range(q):
-            gs = [
-                self._placement[i][np.asarray(res[0][row], dtype=np.intp)]
-                for i, res in items
-            ]
-            ds = [np.asarray(res[1][row], dtype=np.float64) for _, res in items]
-            g = np.concatenate(gs)
-            d = np.concatenate(ds)
-            order = np.lexsort((g, d))[:k_eff]
-            out.append(g[order])
-        return out
+        order = gidx.ravel()[flat].reshape(q, m)
+        if plan.retrieval == "full":
+            dist = dist.ravel()[flat].reshape(q, m)
+        if positions is not None:
+            order = np.searchsorted(positions, order)
+        if plan.retrieval == "full":
+            return order, dist
+        keep = np.minimum(np.isfinite(dist).sum(axis=1), plan.k_eff)
+        return [row[:c] for row, c in zip(order, keep)]
 
     # ------------------------------------------------------------------
     def _record_merge(self, merge_seconds: float, n_chunks: int) -> None:
@@ -1041,13 +977,14 @@ class ShardRouter:
 
         Data-sharded routers place the batch on one shard (``shard``,
         or the currently smallest); test-sharded routers broadcast it
-        to every replica.  Runs under the router's writer lock — and
-        each engine's own writer lock — so no in-flight valuation
-        observes a half-applied placement.
+        to every replica and only validate ``shard``.  Runs under the
+        router's writer lock — and each engine's own writer lock — so
+        no in-flight valuation observes a half-applied placement.
 
         Args:
             x_new, y_new: Points and labels joining the training set.
-            shard: Optional explicit owning shard index (data mode).
+            shard: Optional explicit owning shard index (data mode;
+                validated, then ignored, in test mode).
 
         Returns:
             The global indices assigned, ``arange(n_before, n_after)``
@@ -1057,6 +994,10 @@ class ShardRouter:
             ParameterError: On shape mismatch or a shard index out of
                 range.
         """
+        if shard is not None and not 0 <= shard < self.n_shards:
+            raise ParameterError(
+                f"shard index {shard} out of range [0, {self.n_shards})"
+            )
         with self._lock.write():
             x_new, y_new = as_new_points(x_new, y_new, self._n_features)
             m = x_new.shape[0]
@@ -1075,11 +1016,6 @@ class ShardRouter:
                     if shard is None:
                         sizes = [p.shape[0] for p in self._placement]
                         shard = int(np.argmin(sizes))
-                    elif not 0 <= shard < self.n_shards:
-                        raise ParameterError(
-                            f"shard index {shard} out of range "
-                            f"[0, {self.n_shards})"
-                        )
                     self.shards[shard].engine.add_points(x_new, y_new)
                     self._placement[shard] = np.concatenate(
                         (
@@ -1131,16 +1067,17 @@ class ShardRouter:
                             n - idx.size, dtype=np.intp
                         )
                 else:
-                    for i, shard_obj in enumerate(self.shards):
-                        local = np.flatnonzero(
-                            np.isin(self._placement[i], removed)
-                        )
-                        if local.size == 0:
-                            continue
-                        shard_obj.engine.remove_points(local)
-                        self._placement[i] = np.delete(
-                            self._placement[i], local
-                        )
+                    # every share is checked before any shard is touched
+                    shares = [np.flatnonzero(np.isin(p, removed)) for p in self._placement]
+                    for shard, placed, local in zip(self.shards, self._placement, shares):
+                        if local.size == placed.shape[0]:
+                            raise ParameterError(
+                                f"removing {local.size} point(s) would empty {shard.label}"
+                            )
+                    for i, local in enumerate(shares):
+                        if local.size:
+                            self.shards[i].engine.remove_points(local)
+                            self._placement[i] = np.delete(self._placement[i], local)
                     # renumber survivors: global position p drops by the
                     # number of removed positions below it (numpy.delete)
                     for i in range(self.n_shards):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine import ShardRouter, ValuationEngine, ValuationService
 from repro.exceptions import ParameterError, ShardError
-from repro.monitor import MaintenanceScheduler, TelemetryHub, Tracer
+from repro.monitor import FaultInjector, MaintenanceScheduler, TelemetryHub, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +172,32 @@ def test_add_points_explicit_shard_and_validation(data):
             router.add_points(data.x_train[:1], data.y_train[:1], shard=9)
 
 
+def test_add_points_shard_index_validated_when_test_sharded(data):
+    with _router(data, n_shards=2, sharding="test") as router:
+        router.add_points(data.x_train[:3], data.y_train[:3], shard=1)
+        assert [s.engine.n_train for s in router.shards] == [data.n_train + 3] * 2
+        with pytest.raises(ParameterError):
+            router.add_points(data.x_train[:1], data.y_train[:1], shard=7)
+        assert router.n_train == data.n_train + 3
+        assert [s.engine.n_train for s in router.shards] == [data.n_train + 3] * 2
+
+
+def test_rejected_removal_touches_no_shard():
+    from repro.datasets import gaussian_blobs
+
+    d = gaussian_blobs(n_train=12, n_test=5, n_features=3, seed=4)
+    with ShardRouter(d.x_train, d.y_train, 2, n_shards=3) as router:
+        # shard1 holds 4..7: removing all of them would empty it, so
+        # shard0 must not lose point 0 either
+        with pytest.raises(ParameterError, match="shard1"):
+            router.remove_points([0, 4, 5, 6, 7])
+        assert router.n_train == 12
+        assert [s.engine.n_train for s in router.shards] == [4, 4, 4]
+        result = router.value(d.x_test, d.y_test)
+    reference = ValuationEngine(d.x_train, d.y_train, 2).value(d.x_test, d.y_test)
+    np.testing.assert_array_equal(result.values, reference.values)
+
+
 def test_remove_points_validation(data):
     with _router(data) as router:
         with pytest.raises(ParameterError):
@@ -216,6 +242,40 @@ def test_partial_policy_serves_exact_subgame(data):
     np.testing.assert_array_equal(result.values[surviving], sub.values)
     lost = np.setdiff1d(np.arange(router.n_train), surviving)
     assert np.all(result.values[lost] == 0.0)
+
+
+#: one request per method, with the keywords that make it deterministic
+METHODS = {
+    "exact": {},
+    "truncated": {"epsilon": 0.1},
+    "weighted": {"weights": "rank"},
+    "mc": {"n_permutations": 5, "seed": 11},
+}
+
+
+@pytest.mark.parametrize("store_per_test", [False, True])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_partial_policy_survivors_match_a_single_engine(data, method, store_per_test):
+    with _router(data, n_shards=3, on_shard_error="partial") as router, FaultInjector() as chaos:
+        surviving = np.concatenate([router._placement[0], router._placement[2]])
+        chaos.fail_shard(router, 1)
+        result = router.value(
+            data.x_test, data.y_test, method=method, store_per_test=store_per_test,
+            **METHODS[method],
+        )
+    lost = np.setdiff1d(np.arange(data.n_train), surviving)
+    assert result.extra["degraded"]["missing_points"] == lost.shape[0]
+    sub = ValuationEngine(data.x_train[surviving], data.y_train[surviving], 4).value(
+        data.x_test, data.y_test, method=method, store_per_test=store_per_test,
+        **METHODS[method],
+    )
+    np.testing.assert_array_equal(result.values[surviving], sub.values)
+    assert np.all(result.values[lost] == 0.0)
+    if store_per_test:
+        per_test = result.extra["per_test"]
+        assert per_test.shape == (data.x_test.shape[0], data.n_train)
+        np.testing.assert_array_equal(per_test[:, surviving], sub.extra["per_test"])
+        assert np.all(per_test[:, lost] == 0.0)
 
 
 def test_partial_policy_test_sharded_bounds_the_loss(data):
@@ -333,6 +393,48 @@ def test_one_trace_tree_per_request(data):
         for g in c["children"]
     ]
     assert "engine.retrieve" in shard_children
+
+
+@pytest.mark.parametrize(
+    "method, kernel", [("exact", "exact"), ("truncated", "truncated"),
+                       ("weighted", "weighted"), ("mc", "mcserve")]
+)
+def test_trace_tree_shape_per_method(data, method, kernel):
+    """The span shape per-layer timings read: legs, merge and kernel
+    under the request; one bare retrieval (or none, for mc) per leg."""
+    with _router(data, n_shards=2, tracer=Tracer()) as router:
+        result = router.value(data.x_test, data.y_test, method=method, **METHODS[method])
+    tree = result.extra["trace"]
+    assert tree["name"] == "router.request"
+    kids = tree["children"]
+    legs = [c for c in kids if c["name"] == "shard.request"]
+    assert len(legs) == 2
+    assert all(leg["attributes"]["start"] == 0 for leg in legs)
+    assert [c["name"] for c in kids if c["name"] != "shard.request"] == [
+        "router.merge", f"kernel.{kernel}"
+    ]
+    for leg in legs:
+        if method == "mc":
+            assert leg["children"] == []
+            continue
+        (retrieve,) = leg["children"]
+        assert retrieve["name"] == "engine.retrieve"
+        if method == "truncated":
+            assert retrieve["attributes"]["k"] >= 0
+        else:
+            assert retrieve["attributes"]["k"] == -1
+        # a leg's retrieval is one span: perfbench adds engine.retrieve
+        # and backend.* spans into the same backend timing
+        assert retrieve["children"] == []
+
+
+def test_closed_router_rejects_requests_typed(data):
+    for sharding in ("data", "test"):
+        router = _router(data, sharding=sharding)
+        router.close()
+        assert not router.ready
+        with pytest.raises(ShardError, match="closed"):
+            router.value(data.x_test, data.y_test)
 
 
 def test_one_hub_aggregates_the_fleet(data):
