@@ -6,23 +6,19 @@ same surface as one engine, so an unmodified
 :class:`~repro.engine.service.ValuationService` (or any caller of
 ``value``/``add_points``/``remove_points``) can front a fleet.
 
-Two sharding layouts, chosen by the additivity structure of the math:
-
-* ``sharding="data"`` — the training set is partitioned across shards.
-  Shapley values themselves are **not** additive across training-set
-  partitions (valuing a slice is a different game), so the router
-  shards *retrieval* instead: each shard ranks (or top-k queries) its
-  slice, the coordinator merges the per-shard sorted results exactly —
-  the merge key is ``(test row, distance, global index)``, matching
-  the single engine's distance-then-index tie-break bit for bit — and
-  runs the valuation kernel once over the merged
-  :class:`~repro.core.kernels.RankPlan`.  The result is identical to a
-  single engine holding the full set (<= 1e-12), while the O(n log n)
-  retrieval work fans out across shards.
-* ``sharding="test"`` — every shard holds the full training set and
-  the *test batch* is partitioned.  By eq 8 of the paper the
-  multi-test value is the mean of single-test values, so per-shard
-  partial sums merge exactly: ``sum_i values_i * n_test_i / n_test``.
+The training set is partitioned across shards.  Shapley values
+themselves are **not** additive across training-set partitions (valuing
+a slice is a different game), so the router shards *retrieval*
+instead: each shard ranks (or top-k queries) its slice, the coordinator
+merges the per-shard sorted results exactly — the merge key is
+``(test row, distance, global index)``, matching the single engine's
+distance-then-index tie-break bit for bit — and runs the valuation
+kernel once over the merged :class:`~repro.core.kernels.RankPlan`.  The
+result is identical to a single engine holding the full set
+(<= 1e-12), while the O(n log n) retrieval work fans out across shards.
+Splitting the *test batch* (eq 8: the batch value is the mean of
+per-test values) is the engine's job: its chunks run on ``n_workers``
+threads.
 
 Robustness is part of the contract: each fan-out leg has a configurable
 timeout (a timed-out leg is hedged), raised shard errors retry with
@@ -152,6 +148,11 @@ class _Breaker:
             if self._failures >= self.threshold or self._opened_at is not None:
                 self._opened_at = self.clock()
 
+    def release(self) -> None:
+        """Hand back an admitted probe whose outcome says nothing of the shard."""
+        with self._lock:
+            self._probing = False
+
 
 def _as_rectangle(rows, dist) -> tuple[np.ndarray, np.ndarray]:
     """One shard's neighbor rows as a rectangle; ragged rows are padded
@@ -180,9 +181,9 @@ class ShardRouter:
         x_train, y_train: The full training set being valued.
         k: The K of KNN.
         n_shards: Fleet size (>= 1).
-        sharding: ``"data"`` (partition the training set; exact merged
-            retrieval) or ``"test"`` (replicate the training set;
-            partition each test batch, eq-8 partial-sum merge).
+        sharding: ``"data"``, the only layout: the training set is
+            partitioned and retrieval merged exactly.  To split a test
+            batch instead, use one engine with ``n_workers``.
         task: ``"classification"`` or ``"regression"``.
         metric: Distance metric, forwarded to every shard engine.
         backend: Backend name forwarded to every shard engine
@@ -230,7 +231,7 @@ class ShardRouter:
     Raises:
         ParameterError: On an invalid fleet shape, sharding mode, or
             error policy, or when ``n_shards`` exceeds the training
-            set size in data-sharded mode.
+            set size.
     """
 
     def __init__(
@@ -268,9 +269,10 @@ class ShardRouter:
             raise ParameterError(
                 "backoff_base and backoff_jitter must be non-negative"
             )
-        if sharding not in ("data", "test"):
+        if sharding != "data":
             raise ParameterError(
-                f"sharding must be 'data' or 'test', got {sharding!r}"
+                f"sharding must be 'data', got {sharding!r}; to split the "
+                f"test batch, use one ValuationEngine with n_workers"
             )
         if on_shard_error not in ("fail", "partial"):
             raise ParameterError(
@@ -284,7 +286,7 @@ class ShardRouter:
         x_train = as_float_matrix(x_train, "x_train")
         y_train = as_label_vector(y_train, x_train.shape[0], "y_train")
         n = x_train.shape[0]
-        if sharding == "data" and n_shards > n:
+        if n_shards > n:
             raise ParameterError(
                 f"cannot data-shard {n} training points across "
                 f"{n_shards} shards"
@@ -331,17 +333,12 @@ class ShardRouter:
         #: max positions, deletes preserve order), so a shard's local
         #: index order equals the global order within the shard
         self._placement: list[np.ndarray] = []
-        if sharding == "data":
-            splits = np.array_split(np.arange(n, dtype=np.intp), n_shards)
-            for i, part in enumerate(splits):
-                self.shards.append(
-                    Shard(f"shard{i}", build(x_train[part], y_train[part]))
-                )
-                self._placement.append(part.copy())
-        else:
-            for i in range(n_shards):
-                self.shards.append(Shard(f"shard{i}", build(x_train, y_train)))
-                self._placement.append(np.arange(n, dtype=np.intp))
+        splits = np.array_split(np.arange(n, dtype=np.intp), n_shards)
+        for i, part in enumerate(splits):
+            self.shards.append(
+                Shard(f"shard{i}", build(x_train[part], y_train[part]))
+            )
+            self._placement.append(part.copy())
         self._y = y_train.copy()
         self._n_total = n
         self._n_features = int(x_train.shape[1])
@@ -466,13 +463,12 @@ class ShardRouter:
             x_test, y_test, method, epsilon, store_per_test, weights,
             mode, delta, n_permutations, seed: As for the engine;
                 ``method="mc"`` fans out raw distances.
-            deadline_s: Optional total budget in seconds.  The
-                remaining budget shrinks per hop: each fan-out leg's
-                timeout is capped by what is left, test-sharded legs
-                carry the residue into their shard engines, and the
-                chunk loop raises
-                :class:`~repro.exceptions.DeadlineExceededError`
-                when the budget is spent.
+            deadline_s: Optional total budget in seconds.  Each
+                fan-out leg's wait is capped by what is left, and the
+                request raises
+                :class:`~repro.exceptions.DeadlineExceededError` when
+                the budget is spent; every such miss counts once in
+                ``stats()["counters"]["deadline_exceeded"]``.
 
         Returns:
             A :class:`~repro.types.ValuationResult`; when shards were
@@ -498,43 +494,36 @@ class ShardRouter:
                 f"x_test has {x_test.shape[1]} features, expected "
                 f"{self._n_features}"
             )
-        budget = _Budget.admit(deadline_s)
         start = time.perf_counter()
-        with self._lock.read():
-            with self.tracer.span(
-                "router.request",
-                method=method,
-                sharding=self.sharding,
-                n_shards=self.n_shards,
-                n_test=int(x_test.shape[0]),
-                n_train=self.n_train,
-            ) as root:
-                # resolved before any fan-out: a malformed request is
-                # the caller's fault and must never count against a shard
-                knobs = dict(
-                    epsilon=epsilon, weights=weights, mode=mode, delta=delta,
-                    n_permutations=n_permutations,
-                )
-                plan = plan_request(
-                    method, task=self.task, k=self.k, n_train=self.n_train,
-                    **knobs,
-                )
-                for shard in self.shards:
-                    shard.engine._check_backend(plan)
-                plan.annotate(root)
-                if self.sharding == "test":
-                    request = dict(
-                        knobs, method=method, store_per_test=store_per_test
+        try:
+            budget = _Budget.admit(deadline_s)
+            with self._lock.read():
+                with self.tracer.span(
+                    "router.request",
+                    method=method,
+                    sharding=self.sharding,
+                    n_shards=self.n_shards,
+                    n_test=int(x_test.shape[0]),
+                    n_train=self.n_train,
+                ) as root:
+                    # resolved before any fan-out: a malformed request is
+                    # the caller's fault and must never count against a shard
+                    plan = plan_request(
+                        method, task=self.task, k=self.k, n_train=self.n_train,
+                        epsilon=epsilon, weights=weights, mode=mode,
+                        delta=delta, n_permutations=n_permutations,
                     )
-                    result = self._value_test_sharded(
-                        plan, x_test, y_test, request, seed, root, budget
-                    )
-                else:
+                    for shard in self.shards:
+                        shard.engine._check_backend(plan)
+                    plan.annotate(root)
                     result = self._value_data_sharded(
                         plan, x_test, y_test, store_per_test, seed, root, budget
                     )
-            if root:
-                result.extra["trace"] = root.summary()
+                if root:
+                    result.extra["trace"] = root.summary()
+        except DeadlineExceededError:
+            self._count(deadline_exceeded=1)
+            raise
         elapsed = time.perf_counter() - start
         degraded = "degraded" in result.extra
         with self._ops_lock:
@@ -563,15 +552,6 @@ class ShardRouter:
         ):
             return fn(idx, shard)
 
-    def _leg_timeout(self, budget) -> Optional[float]:
-        """One leg's wait: the shard timeout capped by the budget residue."""
-        if budget is None:
-            return self.shard_timeout
-        remaining = budget.remaining()
-        if self.shard_timeout is None:
-            return remaining
-        return min(self.shard_timeout, remaining)
-
     def _finish_leg(
         self, i: int, fn, primary, root, budget, attrs: dict, counts: dict
     ) -> tuple[str, object]:
@@ -581,29 +561,32 @@ class ShardRouter:
         (submit a duplicate leg and race both); raised errors retry
         with exponential backoff + jitter up to ``max_retries``.
         Returns ``("ok", result)``, ``("fail", reason)``, or
-        ``("deadline", reason)`` — deadline exhaustion is the
-        *request's* fault, so it must not trip the shard's breaker.
+        ``("deadline", reason)`` — deadline exhaustion, including a
+        wait cut short by the request's budget rather than the shard's
+        own timeout, is the *request's* fault, so it must not trip the
+        shard's breaker.
         """
         pending = {primary}
         hedged = False
         attempts = 0
         reasons: list[str] = []
         while True:
-            timeout = self._leg_timeout(budget)
-            if timeout is not None and timeout <= 0:
-                if budget is not None and budget.expired():
+            # the shard's window, capped by what the request has left
+            timeout = self.shard_timeout
+            left = None if budget is None else budget.remaining()
+            capped = left is not None and (timeout is None or left <= timeout)
+            if capped:
+                if left <= 0:
                     return "deadline", "deadline exhausted mid fan-out"
-                timeout = 0.0
+                timeout = left
             done, pending = wait(
                 pending, timeout=timeout, return_when=FIRST_COMPLETED
             )
             if not done:
-                # every outstanding leg is past its window
-                if (
-                    self.hedge
-                    and not hedged
-                    and (budget is None or not budget.expired())
-                ):
+                if capped:
+                    return "deadline", "deadline exhausted mid fan-out"
+                # every outstanding leg is past the shard's window
+                if self.hedge and not hedged:
                     hedged = True
                     counts["hedges"] += 1
                     pending = set(pending)
@@ -626,9 +609,6 @@ class ShardRouter:
             if pending:
                 # a raced leg is still in flight; let it finish the race
                 continue
-            if isinstance(exc, DeadlineExceededError):
-                # the shard ran out of propagated budget — not a fault
-                return "deadline", repr(exc)
             reasons.append(repr(exc))
             if attempts >= self.max_retries:
                 return "fail", "; ".join(reasons)
@@ -654,7 +634,8 @@ class ShardRouter:
         open circuit fails the shard for this request without
         touching it), raised errors retry with exponential backoff +
         jitter, timed-out legs race a hedged duplicate, and every
-        final outcome feeds the breaker.  Failures land in ``failed``
+        final outcome feeds the breaker (a deadline outcome only hands
+        back a half-open probe).  Failures land in ``failed``
         as ``{shard index: reason}`` and the shard is skipped by
         later rounds of the same request.  Under the ``"fail"``
         policy any failure raises; under ``"partial"`` the surviving
@@ -663,8 +644,10 @@ class ShardRouter:
         Deadline exhaustion raises
         :class:`~repro.exceptions.DeadlineExceededError` under either
         policy — a request whose budget is gone has no useful partial
-        to serve.
+        to serve — and is checked before any breaker admits a probe.
         """
+        if budget is not None:
+            budget.check("before shard fan-out")
         counts = dict.fromkeys(
             (
                 "shard_errors", "shard_timeouts", "retries", "hedges",
@@ -681,8 +664,6 @@ class ShardRouter:
                 counts["circuit_open_rejections"] += 1
                 continue
             live.append(i)
-        if budget is not None:
-            budget.check("before shard fan-out")
         # all primaries launch before any leg is awaited, so legs run
         # concurrently and the collection wait is max, not sum
         primaries = {
@@ -702,18 +683,18 @@ class ShardRouter:
                 failed[i] = payload
                 counts["shard_errors"] += 1
                 self._breakers[i].record(False)
-            else:  # deadline — the request dies, the breaker is untouched
+            else:  # deadline — the request dies, no failure is counted
                 failed[i] = payload
                 deadline_reason = payload
+                self._breakers[i].release()
         if any(counts.values()):
             self._count(**counts)
         if deadline_reason is not None:
-            self._count(deadline_exceeded=1)
             raise DeadlineExceededError(
                 f"request deadline spent during shard fan-out: "
                 f"{deadline_reason}",
-                deadline_s=budget.deadline_s if budget is not None else None,
-                elapsed_s=budget.elapsed() if budget is not None else None,
+                deadline_s=budget.deadline_s,
+                elapsed_s=budget.elapsed(),
             )
         lost = counts["shard_errors"] + counts["circuit_open_rejections"]
         if lost and self.on_shard_error == "fail":
@@ -741,26 +722,6 @@ class ShardRouter:
     def _reasons(self, failed: dict) -> dict:
         """``{shard label: failure reason}`` for the failed shards."""
         return {self.shards[i].label: r for i, r in failed.items()}
-
-    def _degraded_extra(
-        self, failed: dict, semantics: str, unit: str, missing: int,
-        total: int, bound_per_fraction: Optional[float] = None,
-    ) -> dict:
-        """``extra["degraded"]``: which shards were lost and what it cost."""
-        reasons = self._reasons(failed)
-        fraction = missing / total if total else 0.0
-        return {
-            "policy": self.on_shard_error,
-            "shards": sorted(reasons),
-            "reasons": reasons,
-            "bound": (
-                None if bound_per_fraction is None
-                else bound_per_fraction * fraction
-            ),
-            "semantics": semantics,
-            f"missing_{unit}": int(missing),
-            "missing_fraction": fraction,
-        }
 
     # ------------------------------------------------------------------
     def _value_data_sharded(
@@ -823,11 +784,17 @@ class ShardRouter:
         if store_per_test:
             extra["per_test"] = per_test
         if failed:
+            reasons = self._reasons(failed)
             missing = sum(self._placement[i].shape[0] for i in failed)
-            extra["degraded"] = self._degraded_extra(
-                failed, "exact-subgame-over-surviving-shards", "points",
-                missing, n,
-            )
+            extra["degraded"] = {
+                "policy": self.on_shard_error,
+                "shards": sorted(reasons),
+                "reasons": reasons,
+                "bound": None,
+                "semantics": "exact-subgame-over-surviving-shards",
+                "missing_points": int(missing),
+                "missing_fraction": missing / n,
+            }
         return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
     @staticmethod
@@ -838,75 +805,6 @@ class ShardRouter:
         if plan.retrieval == "topk":
             return lambda _i, sh: sh.engine.retrieve(chunk, k=plan.k_eff)
         return lambda _i, sh: sh.engine.distances(chunk)
-
-    def _value_test_sharded(
-        self,
-        plan: RequestPlan,
-        x_test: np.ndarray,
-        y_test: np.ndarray,
-        request: dict,
-        seed: Optional[int],
-        root,
-        budget=None,
-    ) -> ValuationResult:
-        """Test-stream sharding: eq-8 partial-sum merge of full engines.
-
-        Shard ``i`` values its slice of the test batch against the
-        full training set; partial sums ``values_i * n_test_i`` merge
-        exactly into the batch mean.  ``request`` holds the
-        ``value()`` keywords every replica receives; ``seed`` becomes
-        ``seed + i`` on replica ``i`` (distinct but deterministic
-        Monte Carlo streams).  A lost shard under the ``"partial"``
-        policy yields the mean over the *served* tests; for
-        classification (per-test values in ``[-1, 1]``) the recorded
-        bound ``2 * missing_fraction`` caps the deviation from the
-        full-batch mean.  A request budget propagates: each leg hands
-        its shard engine whatever remains at launch time.
-        """
-        n, n_test = self.n_train, x_test.shape[0]
-        slices = np.array_split(np.arange(n_test), self.n_shards)
-        failed: dict = {}
-
-        def call(i: int, shard: Shard):
-            rows = slices[i]
-            if rows.shape[0] == 0:
-                return None
-            kwargs = dict(request)
-            if seed is not None:
-                kwargs["seed"] = seed + i
-            if budget is not None:
-                # the residue at launch time, not at request entry:
-                # each hop shrinks what the next layer may spend
-                kwargs["deadline_s"] = budget.remaining()
-            return shard.engine.value(x_test[rows], y_test[rows], **kwargs)
-
-        results = self._fan_out(call, failed, root, budget=budget, n_test=n_test)
-        alive = {i: r for i, r in results.items() if r is not None}
-        if not alive and n_test:
-            raise ShardError(
-                "no shard survived the request", reasons=self._reasons(failed)
-            )
-        merge_start = time.perf_counter()
-        total = np.zeros(n, dtype=np.float64)
-        served = 0
-        for i in sorted(alive):
-            total += alive[i].values * slices[i].shape[0]
-            served += slices[i].shape[0]
-        values = total / max(served, 1)
-        merge_seconds = time.perf_counter() - merge_start
-        self._record_merge(merge_seconds, len(alive))
-        extra = self._result_extra(plan, len(alive))
-        if request["store_per_test"] and alive:
-            per = np.zeros((n_test, n), dtype=np.float64)
-            for i in sorted(alive):
-                per[slices[i]] = alive[i].extra["per_test"]
-            extra["per_test"] = per
-        if failed:
-            extra["degraded"] = self._degraded_extra(
-                failed, "mean-over-served-tests", "tests", n_test - served,
-                n_test, 2.0 if self.task == "classification" else None,
-            )
-        return ValuationResult(values=values, method=plan.out_method, extra=extra)
 
     # ------------------------------------------------------------------
     # the exact cross-shard merge
@@ -975,16 +873,14 @@ class ShardRouter:
     ) -> np.ndarray:
         """Append training points; returns the global indices they received.
 
-        Data-sharded routers place the batch on one shard (``shard``,
-        or the currently smallest); test-sharded routers broadcast it
-        to every replica and only validate ``shard``.  Runs under the
-        router's writer lock — and each engine's own writer lock — so
-        no in-flight valuation observes a half-applied placement.
+        The batch goes to one shard (``shard``, or the currently
+        smallest).  Runs under the router's writer lock — and each
+        engine's own writer lock — so no in-flight valuation observes a
+        half-applied placement.
 
         Args:
             x_new, y_new: Points and labels joining the training set.
-            shard: Optional explicit owning shard index (data mode;
-                validated, then ignored, in test mode).
+            shard: Optional explicit owning shard index.
 
         Returns:
             The global indices assigned, ``arange(n_before, n_after)``
@@ -1005,24 +901,16 @@ class ShardRouter:
             with self.tracer.span(
                 "router.mutate", kind="add", n_points=m
             ):
-                if self.sharding == "test":
-                    for s in self.shards:
-                        s.engine.add_points(x_new, y_new)
-                    for i in range(self.n_shards):
-                        self._placement[i] = np.arange(
-                            first + m, dtype=np.intp
-                        )
-                else:
-                    if shard is None:
-                        sizes = [p.shape[0] for p in self._placement]
-                        shard = int(np.argmin(sizes))
-                    self.shards[shard].engine.add_points(x_new, y_new)
-                    self._placement[shard] = np.concatenate(
-                        (
-                            self._placement[shard],
-                            np.arange(first, first + m, dtype=np.intp),
-                        )
+                if shard is None:
+                    sizes = [p.shape[0] for p in self._placement]
+                    shard = int(np.argmin(sizes))
+                self.shards[shard].engine.add_points(x_new, y_new)
+                self._placement[shard] = np.concatenate(
+                    (
+                        self._placement[shard],
+                        np.arange(first, first + m, dtype=np.intp),
                     )
+                )
                 self._y = np.concatenate((self._y, y_new))
                 self._n_total += m
             self._count(mutations=1)
@@ -1041,7 +929,7 @@ class ShardRouter:
 
         Raises:
             ParameterError: On out-of-range or duplicate indices, or
-                when a data shard would be emptied (each shard engine
+                when a shard would be emptied (each shard engine
                 must keep at least one point).
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
@@ -1059,31 +947,21 @@ class ShardRouter:
             with self.tracer.span(
                 "router.mutate", kind="remove", n_points=int(idx.size)
             ):
-                if self.sharding == "test":
-                    for s in self.shards:
-                        s.engine.remove_points(idx)
-                    for i in range(self.n_shards):
-                        self._placement[i] = np.arange(
-                            n - idx.size, dtype=np.intp
+                # every share is checked before any shard is touched
+                shares = [np.flatnonzero(np.isin(p, removed)) for p in self._placement]
+                for shard, placed, local in zip(self.shards, self._placement, shares):
+                    if local.size == placed.shape[0]:
+                        raise ParameterError(
+                            f"removing {local.size} point(s) would empty {shard.label}"
                         )
-                else:
-                    # every share is checked before any shard is touched
-                    shares = [np.flatnonzero(np.isin(p, removed)) for p in self._placement]
-                    for shard, placed, local in zip(self.shards, self._placement, shares):
-                        if local.size == placed.shape[0]:
-                            raise ParameterError(
-                                f"removing {local.size} point(s) would empty {shard.label}"
-                            )
-                    for i, local in enumerate(shares):
-                        if local.size:
-                            self.shards[i].engine.remove_points(local)
-                            self._placement[i] = np.delete(self._placement[i], local)
-                    # renumber survivors: global position p drops by the
-                    # number of removed positions below it (numpy.delete)
-                    for i in range(self.n_shards):
-                        self._placement[i] = self._placement[
-                            i
-                        ] - np.searchsorted(removed, self._placement[i])
+                for i, local in enumerate(shares):
+                    if local.size:
+                        self.shards[i].engine.remove_points(local)
+                        self._placement[i] = np.delete(self._placement[i], local)
+                # renumber survivors: global position p drops by the
+                # number of removed positions below it (numpy.delete)
+                for i in range(self.n_shards):
+                    self._placement[i] -= np.searchsorted(removed, self._placement[i])
                 self._y = np.delete(self._y, removed)
                 self._n_total -= idx.size
             self._count(mutations=1)

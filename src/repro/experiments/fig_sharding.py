@@ -91,7 +91,6 @@ def shard_scaleout(
         data.y_train,
         k,
         n_shards=n_shards,
-        sharding="data",
         cache=False,
     )
     def run_router():

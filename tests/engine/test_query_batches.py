@@ -45,7 +45,7 @@ def test_engine_rejects_empty_batch(small, method):
         engine.value(np.empty((0, 4)), np.empty(0, dtype=int), method=method)
 
 
-@pytest.mark.parametrize("sharding", ["data", "test"])
+@pytest.mark.parametrize("sharding", ["data"])
 @pytest.mark.parametrize("method", METHODS)
 def test_router_rejects_empty_batch(small, method, sharding):
     x_train, y_train = small

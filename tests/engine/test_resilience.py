@@ -288,7 +288,6 @@ def test_engine_deadline_raises_typed(data, engine):
 def _router(data, **kwargs):
     defaults = dict(
         n_shards=4,
-        sharding="test",
         hedge=False,
         max_retries=0,
         shard_timeout=30.0,
@@ -344,6 +343,82 @@ def test_breaker_full_lifecycle_with_fake_clock(data):
         healed = router.value(data.x_test, data.y_test)
         assert router.resilience()["breakers"]["shard1"] == "closed"
         assert "degraded" not in healed.extra
+    finally:
+        router.close()
+
+
+def test_deadline_miss_never_strands_a_half_open_probe(data):
+    clk = {"t": 0.0}
+    router = _router(
+        data,
+        n_shards=2,
+        on_shard_error="partial",
+        breaker_threshold=2,
+        breaker_cooldown=10.0,
+        breaker_clock=lambda: clk["t"],
+    )
+    try:
+        with FaultInjector() as chaos:
+            chaos.fail_shard(router, 1, times=2)
+            for _ in range(2):
+                router.value(data.x_test, data.y_test)
+        clk["t"] = 11.0
+        assert router.resilience()["breakers"]["shard1"] == "half-open"
+        with FaultInjector() as chaos:
+            chaos.slow_shard(router, 0, 0.3)
+            with pytest.raises(DeadlineExceededError):
+                router.value(data.x_test, data.y_test, deadline_s=0.1)
+        # the miss says nothing about shard1: its probe is handed back
+        # without counting a failure, so the next request may probe
+        assert router.resilience()["breakers"]["shard1"] == "half-open"
+        clk["t"] = 111.0
+        healed = router.value(data.x_test, data.y_test)
+        assert "degraded" not in healed.extra
+        assert router.resilience()["breakers"]["shard1"] == "closed"
+    finally:
+        router.close()
+
+
+def test_budget_capped_leg_wait_is_a_deadline_not_a_shard_timeout(data):
+    router = _router(data, n_shards=2, on_shard_error="partial")
+    try:
+        with FaultInjector() as chaos:
+            chaos.slow_shard(router, 1, 0.3)
+            # the slow leg outlives the request's budget, not its own
+            # 30 s window: no degraded answer may be served late
+            with pytest.raises(DeadlineExceededError):
+                router.value(data.x_test, data.y_test, deadline_s=0.1)
+        counters = router.stats()["counters"]
+        assert counters["shard_timeouts"] == 0
+        assert counters["shard_errors"] == 0
+        assert router.resilience()["open_circuits"] == []
+        assert router.value(data.x_test, data.y_test).extra.get("degraded") is None
+    finally:
+        router.close()
+
+
+def test_every_router_deadline_miss_is_counted_once(monkeypatch):
+    from repro.datasets import gaussian_blobs
+
+    d = gaussian_blobs(n_train=350, n_test=600, n_features=4, seed=3)
+    router = ShardRouter(d.x_train, d.y_train, K, n_shards=2)
+    try:
+        merge, calls = router._merge, []
+
+        def slow_first_merge(*args):
+            calls.append(1)
+            if len(calls) == 1:  # chunk 1 of 3 overruns the budget
+                time.sleep(0.6)
+            return merge(*args)
+
+        monkeypatch.setattr(router, "_merge", slow_first_merge)
+        with pytest.raises(DeadlineExceededError, match="between chunks"):
+            router.value(d.x_test, d.y_test, deadline_s=0.5)
+        assert len(calls) == 1
+        assert router.stats()["counters"]["deadline_exceeded"] == 1
+        with pytest.raises(DeadlineExceededError, match="admission"):
+            router.value(d.x_test, d.y_test, deadline_s=0.0)
+        assert router.stats()["counters"]["deadline_exceeded"] == 2
     finally:
         router.close()
 

@@ -36,7 +36,7 @@ def _router(data, k=4, **kw):
 
 
 # ------------------------------------------------------- bit identity
-@pytest.mark.parametrize("sharding", ["data", "test"])
+@pytest.mark.parametrize("sharding", ["data"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_exact_bit_matches_single_engine(data, sharding, n_shards):
     reference = _engine(data).value(data.x_test, data.y_test)
@@ -48,7 +48,7 @@ def test_exact_bit_matches_single_engine(data, sharding, n_shards):
     assert result.extra["n_shards"] == n_shards
 
 
-@pytest.mark.parametrize("sharding", ["data", "test"])
+@pytest.mark.parametrize("sharding", ["data"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_truncated_bit_matches_single_engine(data, sharding, n_shards):
     reference = _engine(data).value(
@@ -65,7 +65,7 @@ def test_truncated_bit_matches_single_engine(data, sharding, n_shards):
 # the weighted cases run K=1 (closed-form path) and K=2 with rank-only
 # weights (piecewise counting): the distance-weight configuration
 # engine at K >= 3 is combinatorial and has no place in a unit test
-@pytest.mark.parametrize("sharding", ["data", "test"])
+@pytest.mark.parametrize("sharding", ["data"])
 @pytest.mark.parametrize(
     "k,weights,mode",
     [(1, "inverse_distance", "auto"), (2, "rank", "piecewise")],
@@ -85,7 +85,7 @@ def test_weighted_bit_matches_single_engine(data, sharding, k, weights, mode):
     assert np.max(np.abs(result.values - reference.values)) <= 1e-12
 
 
-@pytest.mark.parametrize("sharding", ["data", "test"])
+@pytest.mark.parametrize("sharding", ["data"])
 def test_regression_bit_matches_single_engine(sharding):
     from repro.datasets import regression_dataset
 
@@ -170,16 +170,6 @@ def test_add_points_explicit_shard_and_validation(data):
         assert router.shards[1].engine.n_train == before + 3
         with pytest.raises(ParameterError):
             router.add_points(data.x_train[:1], data.y_train[:1], shard=9)
-
-
-def test_add_points_shard_index_validated_when_test_sharded(data):
-    with _router(data, n_shards=2, sharding="test") as router:
-        router.add_points(data.x_train[:3], data.y_train[:3], shard=1)
-        assert [s.engine.n_train for s in router.shards] == [data.n_train + 3] * 2
-        with pytest.raises(ParameterError):
-            router.add_points(data.x_train[:1], data.y_train[:1], shard=7)
-        assert router.n_train == data.n_train + 3
-        assert [s.engine.n_train for s in router.shards] == [data.n_train + 3] * 2
 
 
 def test_rejected_removal_touches_no_shard():
@@ -276,23 +266,6 @@ def test_partial_policy_survivors_match_a_single_engine(data, method, store_per_
         assert per_test.shape == (data.x_test.shape[0], data.n_train)
         np.testing.assert_array_equal(per_test[:, surviving], sub.extra["per_test"])
         assert np.all(per_test[:, lost] == 0.0)
-
-
-def test_partial_policy_test_sharded_bounds_the_loss(data):
-    with _router(
-        data, n_shards=2, sharding="test", on_shard_error="partial"
-    ) as router:
-        _break_shard(router, 1)
-        result = router.value(data.x_test, data.y_test)
-    degraded = result.extra["degraded"]
-    assert degraded["semantics"] == "mean-over-served-tests"
-    n_test = data.x_test.shape[0]
-    served = np.array_split(np.arange(n_test), 2)[0].shape[0]
-    assert degraded["missing_tests"] == n_test - served
-    assert degraded["bound"] == pytest.approx(2.0 * (n_test - served) / n_test)
-    # the served slice's mean is a real engine answer
-    ref = _engine(data).value(data.x_test[:served], data.y_test[:served])
-    np.testing.assert_allclose(result.values, ref.values, atol=1e-12)
 
 
 def test_all_shards_dead_raises_even_under_partial(data):
@@ -429,12 +402,11 @@ def test_trace_tree_shape_per_method(data, method, kernel):
 
 
 def test_closed_router_rejects_requests_typed(data):
-    for sharding in ("data", "test"):
-        router = _router(data, sharding=sharding)
-        router.close()
-        assert not router.ready
-        with pytest.raises(ShardError, match="closed"):
-            router.value(data.x_test, data.y_test)
+    router = _router(data)
+    router.close()
+    assert not router.ready
+    with pytest.raises(ShardError, match="closed"):
+        router.value(data.x_test, data.y_test)
 
 
 def test_one_hub_aggregates_the_fleet(data):
@@ -481,6 +453,7 @@ def test_constructor_validation(data):
     for kwargs in [
         {"n_shards": 0},
         {"sharding": "rows"},
+        {"sharding": "test"},
         {"on_shard_error": "ignore"},
         {"shard_timeout": 0.0},
         {"n_shards": data.n_train + 1},
