@@ -4,13 +4,16 @@ The paper's approximation hierarchy is, read operationally, a
 *degradation ladder*: Theorem 1 is the exact answer, Theorem 2 buys an
 ``epsilon`` max-norm guarantee for a shorter prefix of the ranking,
 and the Monte Carlo estimator with Theorem 5's budget buys an
-``(epsilon, delta)`` certificate at a cost independent of N.  Each
-rung is strictly cheaper and strictly looser than the one above it —
-and every rung states exactly how loose, which is what makes shedding
-precision (instead of requests) a defensible overload policy.
+``(epsilon, delta)`` certificate from a permutation budget that
+barely grows with N.  The rungs are ordered by precision, each looser
+than the one above it, and every rung states exactly how loose, which
+is what makes shedding precision (instead of requests) a defensible
+overload policy.  They are *not* ordered by cost: at a large N with a
+small K, Theorem 5's sampler can cost more than a Theorem 2 top-K*
+retrieval, or even more than the exact sort.
 
-:class:`DegradationController` picks the rung per request from two
-pressure signals:
+:class:`DegradationController` picks the loosest rung a request may
+take from two pressure signals:
 
 * **queue depth** — the primary, instantaneous signal: requests
   waiting in the :class:`~repro.engine.service.ValuationService`
@@ -25,6 +28,13 @@ below ``queue_low`` the controller returns the exact rung
 immediately, regardless of burn history — serving returns to exact
 within one maintenance cycle of a fault clearing, the chaos suite's
 acceptance criterion.
+
+Within the loosest rung pressure allows, the controller serves by
+measured cost: once that mapped rung has a compute-latency EWMA, the
+request gets the rung at or above it with the lowest EWMA, and the
+more precise one on a tie.  A rung that was never served has no EWMA
+and is served as mapped, so a cold controller picks exactly what
+pressure alone would pick.
 """
 
 from __future__ import annotations
@@ -54,9 +64,9 @@ class PrecisionRung:
     delta: float = 0.0
 
 
-#: exact → fine truncation → coarse truncation → Monte Carlo, the
-#: order the tentpole prescribes: Theorem 2 with tightening budget
-#: under pressure, Theorem 5 sampling under overload.
+#: exact → fine truncation → coarse truncation → Monte Carlo, in
+#: order of precision: Theorem 2 with a looser budget as pressure
+#: grows, Theorem 5 sampling at saturation.
 DEFAULT_LADDER: tuple[PrecisionRung, ...] = (
     PrecisionRung("exact", "exact"),
     PrecisionRung("truncated-fine", "truncated", epsilon=0.05),
@@ -131,9 +141,10 @@ class DegradationController:
         self._burn_cached = 0.0
         self._burn_at: Optional[float] = None
         #: EWMA of observed compute seconds per rung, for the
-        #: deadline-aware escalation
+        #: deadline-aware escalation and the cost-aware pick
         self._latency: dict[str, float] = {}
         self._picks = {rung.name: 0 for rung in ladder}
+        self._substitutions = 0
 
     # ------------------------------------------------------------------
     def _burn(self) -> float:
@@ -167,7 +178,9 @@ class DegradationController:
         Returns:
             ``(rung, info)`` — ``info`` carries the pressure score
             and its components for telemetry and
-            ``extra["degraded"]``.
+            ``extra["degraded"]``, and ``substituted_for`` names the
+            pressure-mapped rung when a cheaper, more precise one was
+            served in its place.
         """
         queue_depth = max(0, int(queue_depth))
         info: dict = {"queue_depth": queue_depth}
@@ -192,21 +205,35 @@ class DegradationController:
             # pressure in (0, 1] maps onto rungs 1..last
             idx = 1 + int(pressure * (len(self.ladder) - 1 - 1e-9))
             idx = min(idx, len(self.ladder) - 1)
+        with self._lock:
+            latency = dict(self._latency)
         # deadline-aware escalation: if the chosen rung's observed
         # latency will not fit the remaining budget, step down until
         # one does (or the bottom rung is reached)
         if deadline_s is not None and deadline_s > 0:
-            with self._lock:
-                latency = dict(self._latency)
             while idx < len(self.ladder) - 1:
                 seen = latency.get(self.ladder[idx].name)
                 if seen is None or seen <= 0.8 * deadline_s:
                     break
                 idx += 1
                 info["deadline_escalated"] = True
+        # the cost-aware pick: ``idx`` is the loosest rung allowed; once
+        # it has a measured cost, serve the cheapest measured rung at or
+        # above it (min keeps the more precise rung on a tie).  It costs
+        # no more than ``idx`` itself, so a deadline fit still holds.
+        mapped = idx
+        if self.ladder[mapped].name in latency:
+            idx = min(
+                (i for i in range(mapped + 1) if self.ladder[i].name in latency),
+                key=lambda i: latency[self.ladder[i].name],
+            )
         rung = self.ladder[idx]
         with self._lock:
             self._picks[rung.name] = self._picks.get(rung.name, 0) + 1
+            if idx != mapped:
+                self._substitutions += 1
+        if idx != mapped:
+            info["substituted_for"] = self.ladder[mapped].name
         info["rung"] = rung.name
         return rung, info
 
@@ -225,6 +252,7 @@ class DegradationController:
         with self._lock:
             return {
                 "picks": dict(self._picks),
+                "substitutions": self._substitutions,
                 "latency_ewma_seconds": dict(self._latency),
                 "burn_cached": self._burn_cached,
                 "ladder": [rung.name for rung in self.ladder],

@@ -116,11 +116,19 @@ def top_k(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return the ``k`` nearest data points for each query.
 
-    Uses ``argpartition`` followed by a sort of the selected slice, so
-    the cost is O(n + k log k) per query instead of O(n log n).  Ties
-    are broken by index, including at the selection boundary, so the
-    result always equals the first ``k`` columns of
+    Ties are broken by index, including at the selection boundary, so
+    the result always equals the first ``k`` columns of
     :func:`argsort_by_distance`.
+
+    The fast path makes three passes over the ``(q, n)`` distances:
+    one ``argpartition``, a gather of the ``k`` candidates and one
+    count of the points at or below each row's k-th distance.  A row
+    with exactly ``k`` such points has a unique candidate set, which
+    one lexsort on ``(distance, index)`` orders.  A row whose k-th
+    distance is tied with a point outside the candidates falls back to
+    an exact selection: everything strictly below the k-th distance,
+    then the lowest-indexed tied points.  With ``k >= n`` the whole row
+    is ranked by :func:`stable_sort_rows`.
 
     Returns
     -------
@@ -134,25 +142,27 @@ def top_k(
     k_eff = min(k, n)
     dist = get_metric(metric)(queries, data)
     if k_eff == n:
-        idx = np.argsort(dist, axis=1, kind="stable")
-    else:
-        # argpartition alone is not deterministic: points tied at the
-        # k-th distance may be included or excluded arbitrarily.  Take
-        # everything strictly below the k-th smallest distance, then
-        # fill the remaining slots with the lowest-indexed tied points,
-        # so the selection matches a stable full sort exactly.
-        kth = np.partition(dist, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff]
-        below = dist < kth
+        return stable_sort_rows(dist)
+    idx = np.argpartition(dist, k_eff - 1, axis=1)[:, :k_eff]
+    cand = np.take_along_axis(dist, idx, axis=1)
+    kth = cand[:, k_eff - 1 : k_eff]
+    clean = np.count_nonzero(dist <= kth, axis=1) == k_eff
+    if not clean.all():
+        # argpartition admits an arbitrary subset of the points tied
+        # at the k-th distance; these rows re-select them by index
+        tied = np.flatnonzero(~clean)
+        sub, sub_kth = dist[tied], kth[tied]
+        below = sub < sub_kth
         need = k_eff - below.sum(axis=1, keepdims=True)
-        at_kth = dist == kth
+        at_kth = sub == sub_kth
         take = below | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
         # each row has exactly k_eff True entries, in ascending index
-        # order, so stable-sorting by distance breaks ties by index
-        idx = np.nonzero(take)[1].reshape(dist.shape[0], k_eff)
-        sel_dist = np.take_along_axis(dist, idx, axis=1)
-        inner = np.argsort(sel_dist, axis=1, kind="stable")
-        idx = np.take_along_axis(idx, inner, axis=1)
-    return idx, np.take_along_axis(dist, idx, axis=1)
+        # order
+        idx[tied] = np.nonzero(take)[1].reshape(tied.size, k_eff)
+        cand[tied] = np.take_along_axis(sub, idx[tied], axis=1)
+    # primary key distance, secondary key training index
+    inner = np.lexsort((idx, cand), axis=1)
+    return np.take_along_axis(idx, inner, axis=1), np.take_along_axis(cand, inner, axis=1)
 
 
 class KNNSearchIndex:

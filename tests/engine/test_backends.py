@@ -78,9 +78,13 @@ def test_blocked_tie_break_matches_brute():
     queries = np.array([[2.5], [7.0]])
     brute = BruteForceBackend().fit(data)
     blocked = BlockedExactBackend(block_size=7, query_block=1).fit(data)
-    bi, _ = brute.query(queries, 12)
-    ci, _ = blocked.query(queries, 12)
-    np.testing.assert_array_equal(bi, ci)
+    # k=3 at 7.0 and k=12 at 2.5 end exactly on a tie run; the other
+    # cases cut through one, and 30/40 rank every point
+    for k in (1, 3, 4, 12, 29, 30, 40):
+        bi, bd = brute.query(queries, k)
+        ci, cd = blocked.query(queries, k)
+        np.testing.assert_array_equal(bi, ci)
+        np.testing.assert_array_equal(bd.view(np.int64), cd.view(np.int64))
     np.testing.assert_array_equal(brute.rank(queries), blocked.rank(queries))
 
 

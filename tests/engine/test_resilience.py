@@ -144,6 +144,59 @@ def test_controller_deadline_escalation_steps_down():
     assert info.get("deadline_escalated") is True
 
 
+def test_controller_serves_a_cheaper_precise_rung_in_place_of_mc():
+    ctl = DegradationController(queue_low=1, queue_high=9)
+    ctl.observe("mc", 0.012)
+    ctl.observe("truncated-coarse", 0.006)
+    rung, info = ctl.plan(50)  # pressure maps to mc
+    assert rung.name == "truncated-coarse"
+    assert info["rung"] == "truncated-coarse"
+    assert info["substituted_for"] == "mc"
+
+
+def test_controller_serves_an_unobserved_mapped_rung_as_mapped():
+    ctl = DegradationController(queue_low=1, queue_high=9)
+    ctl.observe("truncated-coarse", 0.001)
+    ctl.observe("exact", 0.001)
+    rung, info = ctl.plan(50)
+    assert rung.name == "mc"
+    assert "substituted_for" not in info
+
+
+def test_controller_prefers_the_more_precise_rung_on_equal_cost():
+    ctl = DegradationController(queue_low=1, queue_high=9)
+    for name in ("truncated-fine", "truncated-coarse", "mc"):
+        ctl.observe(name, 0.01)
+    rung, info = ctl.plan(50)
+    assert rung.name == "truncated-fine"
+    assert info["substituted_for"] == "mc"
+
+
+def test_controller_idle_queue_stays_exact_whatever_the_costs():
+    ctl = DegradationController(queue_low=1, queue_high=9)
+    ctl.observe("exact", 10.0)
+    for name in ("truncated-fine", "truncated-coarse", "mc"):
+        ctl.observe(name, 0.001)
+    rung, info = ctl.plan(0)
+    assert rung.name == "exact"
+    assert "substituted_for" not in info
+
+
+def test_controller_counts_each_substitution():
+    ctl = DegradationController(queue_low=1, queue_high=9)
+    assert ctl.snapshot()["substitutions"] == 0
+    ctl.observe("exact", 0.002)
+    ctl.observe("mc", 0.02)
+    ctl.observe("truncated-coarse", 0.01)
+    assert ctl.plan(4)[1]["substituted_for"] == "truncated-coarse"
+    names = [ctl.plan(d)[0].name for d in (0, 50, 50)]
+    assert names == ["exact", "exact", "exact"]
+    snap = ctl.snapshot()
+    assert snap["substitutions"] == 3
+    assert snap["picks"]["exact"] == 4
+    assert snap["picks"]["mc"] == 0
+
+
 def test_controller_rejects_bad_ladders():
     from repro.engine import PrecisionRung
 
@@ -192,6 +245,38 @@ def test_overload_engages_ladder_and_recovers(data, engine, oracle):
     assert np.max(np.abs(calm.values - oracle)) < 1e-10
     picks = ctl.snapshot()["picks"]
     assert picks["exact"] >= 1
+
+
+def test_substituted_rung_answers_with_a_valid_certificate(data, engine, oracle):
+    ctl = DegradationController(queue_low=0, queue_high=1)
+    # mc measured slow, the truncated rungs fast: pressure maps a
+    # waiting job to mc and the controller serves a truncated rung
+    ctl.observe("mc", 10.0)
+    ctl.observe("truncated-fine", 0.001)
+    ctl.observe("truncated-coarse", 0.001)
+    with ValuationService(
+        engine, n_workers=1, degradation=ctl
+    ) as service, FaultInjector() as chaos:
+        chaos.slow_engine(engine, 0.05, times=2)
+        jobs = [
+            service.submit(ValuationRequest(data.x_test, data.y_test))
+            for _ in range(4)
+        ]
+        results = [j.result(timeout=60) for j in jobs]
+    substituted = [
+        r for r in results
+        if r.extra.get("degraded", {}).get("substituted_for") == "mc"
+    ]
+    assert substituted, "no request was served in place of mc"
+    for r in substituted:
+        degraded = r.extra["degraded"]
+        assert degraded["rung"] in ("truncated-fine", "truncated-coarse")
+        assert r.method.startswith("truncated")
+        cert = degraded["certificate"]
+        assert cert["epsilon"] == pytest.approx(degraded["epsilon"])
+        assert np.max(np.abs(r.values - oracle)) <= cert["epsilon"] + 1e-12
+    assert ctl.snapshot()["picks"]["mc"] == 0
+    assert ctl.snapshot()["substitutions"] >= len(substituted)
 
 
 def test_degradation_skips_explicitly_non_exact_requests(data, engine):

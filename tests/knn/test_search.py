@@ -7,6 +7,7 @@ from repro.exceptions import ParameterError
 from repro.knn import (
     KNNSearchIndex,
     argsort_by_distance,
+    get_metric,
     stable_argsort_rows,
     top_k,
 )
@@ -33,10 +34,15 @@ def test_top_k_matches_argsort(rng):
 
 
 def test_top_k_caps_at_n(rng):
-    data = rng.standard_normal((4, 3))
-    queries = rng.standard_normal((2, 3))
-    idx, d = top_k(queries, data, 10)
-    assert idx.shape == (2, 4)
+    data = np.round(rng.standard_normal((15, 2)))  # tie-heavy
+    queries = np.round(rng.standard_normal((4, 2)))
+    dist = get_metric("euclidean")(queries, data)
+    order = np.argsort(dist, axis=1, kind="stable")
+    for k in (15, 16, 100):
+        idx, d = top_k(queries, data, k)
+        assert idx.shape == (4, 15)
+        np.testing.assert_array_equal(idx, order)
+        np.testing.assert_array_equal(d, np.take_along_axis(dist, order, axis=1))
 
 
 def test_tie_break_is_stable():
@@ -115,3 +121,25 @@ def test_index_interface(rng):
 def test_index_rejects_empty():
     with pytest.raises(ParameterError):
         KNNSearchIndex(np.empty((0, 3)))
+
+
+def test_top_k_mixes_tied_and_untied_rows_in_one_batch(rng):
+    """One call runs both paths: rows whose k-th distance is tied with
+    a point outside the candidates, and rows where it is not."""
+    grid = np.array([[x, y] for x in range(-3, 4) for y in range(-3, 4)], float)
+    data = np.vstack([grid, rng.standard_normal((20, 2)) * 3])
+    queries = np.vstack([
+        np.zeros((1, 2)),  # 4 grid points at distance 1, k=3 splits them
+        rng.standard_normal((3, 2)) + 0.1,  # generic: no boundary tie
+        np.array([[0.5, 0.5]]),  # 4 grid points at sqrt(0.5)
+    ])
+    k = 3
+    dist = get_metric("euclidean")(queries, data)
+    kth = np.sort(dist, axis=1)[:, k - 1 : k]
+    at_or_below = np.count_nonzero(dist <= kth, axis=1)
+    assert (at_or_below > k).any() and (at_or_below == k).any()
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    idx, sel_dist = top_k(queries, data, k)
+    np.testing.assert_array_equal(idx, order)
+    np.testing.assert_array_equal(sel_dist, np.take_along_axis(dist, order, axis=1))
+

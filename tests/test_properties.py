@@ -7,7 +7,8 @@ Each property mirrors a theorem or axiom from the paper:
 * the Appendix C bound |s_alpha_i| <= min(1/i, 1/K);
 * truncation error bound (Theorem 2);
 * heap == sort (Algorithm 2's data structure);
-* the engine's fast tie-repairing sort == numpy's stable argsort.
+* the engine's fast tie-repairing sort == numpy's stable argsort;
+* the one-pass top-k selection == numpy's stable argsort, ties included.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core import (
     truncation_rank,
 )
 from repro.core.heap import KNearestHeap
-from repro.knn import stable_argsort_rows, stable_sort_rows
+from repro.knn import get_metric, stable_argsort_rows, stable_sort_rows, top_k
 from repro.metrics import max_abs_error
 from repro.types import Dataset
 from repro.utility import KNNClassificationUtility, KNNRegressionUtility
@@ -188,4 +189,30 @@ def test_stable_sort_rows_matches_numpy_stable(dist):
     # compared bit for bit, so -0.0 and 0.0 are told apart
     np.testing.assert_array_equal(
         sorted_dist.view(np.int64), gathered.view(np.int64)
+    )
+
+
+@st.composite
+def rounded_search_instances(draw):
+    """Integer-rounded points: many distances tie, at the k-th too."""
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 50))
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    data = np.round(rng.standard_normal((n, d)) * scale)
+    queries = np.round(rng.standard_normal((draw(st.integers(1, 6)), d)) * scale)
+    return queries, data, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=rounded_search_instances())
+def test_top_k_matches_numpy_stable_on_ties(instance):
+    queries, data, k = instance
+    dist = get_metric("euclidean")(queries, data)
+    expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    idx, sel_dist = top_k(queries, data, k)
+    np.testing.assert_array_equal(idx, expected)
+    np.testing.assert_array_equal(
+        sel_dist.view(np.int64),
+        np.take_along_axis(dist, expected, axis=1).view(np.int64),
     )
