@@ -444,9 +444,10 @@ class BlockedExactBackend(NeighborBackend):
             for ts in range(0, n, self.block_size):
                 te = min(n, ts + self.block_size)
                 buf[:, ts:te] = kernel(queries[qs:qe], data[ts:te])
-            order[qs:qe], slab_dist = stable_sort_rows(buf)
-            if sorted_dist is not None:
-                sorted_dist[qs:qe] = slab_dist
+            if sorted_dist is None:
+                order[qs:qe] = stable_argsort_rows(buf)
+            else:
+                order[qs:qe], sorted_dist[qs:qe] = stable_sort_rows(buf)
         return order, sorted_dist
 
     # the index *is* the data matrix: base-class mutation needs no refit

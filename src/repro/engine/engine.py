@@ -406,11 +406,12 @@ class ValuationEngine:
             ``extra["weighted_path"]`` and the engine's path counters.
         deadline_s:
             Optional compute budget in seconds, measured from request
-            entry.  Checked before every chunk: when the budget is
-            already spent the request raises
+            entry.  Checked before every chunk and once after the
+            last: when the budget is spent the request raises
             :class:`~repro.exceptions.DeadlineExceededError` instead
-            of starting more work (a running chunk is never aborted
-            mid-kernel, so overshoot is bounded by one chunk).
+            of starting more work or returning a late answer (a
+            running chunk is never aborted mid-kernel, so the raise
+            comes at most one chunk late).
         delta:
             Failure probability for the ``method="mc"`` certificate;
             ignored by the other methods.

@@ -245,7 +245,9 @@ class RequestPlan:
         ``fetch(start, stop, at)`` returns one chunk's retrieval and
         the indices of ``y_train`` it covers (``None``: all).  Chunks
         run on up to ``workers`` threads and merge in span order; the
-        deadline is checked before each chunk, and Monte Carlo chunk
+        deadline is checked before each chunk and once more after the
+        merge, so an answer finished late is never returned as on
+        time, and Monte Carlo chunk
         ``i`` samples from child stream ``i`` of ``seed``, so results
         do not depend on scheduling.  Uncovered columns are 0.
         ``chunk_span`` (one chunk's fetch and kernel) and
@@ -291,6 +293,8 @@ class RequestPlan:
                 total[cols] += partial
             values = total / n_test
             merge_seconds = time.perf_counter() - merge_start
+        if budget is not None:
+            budget.check("after the last chunk")
         if not store_per_test:
             return values, None, merge_seconds
         per_test = np.zeros((n_test, n))

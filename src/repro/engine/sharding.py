@@ -467,7 +467,8 @@ class ShardRouter:
                 fan-out leg's wait is capped by what is left, and the
                 request raises
                 :class:`~repro.exceptions.DeadlineExceededError` when
-                the budget is spent; every such miss counts once in
+                the budget is spent, also when the merged answer is
+                ready only after it; every such miss counts once in
                 ``stats()["counters"]["deadline_exceeded"]``.
 
         Returns:

@@ -148,7 +148,8 @@ class DeadlineExceededError(ReproError, TimeoutError):
     Emitted by the service when a job's ``deadline_ms`` budget is
     already spent on queue wait, and by the engine/router when the
     propagated remaining budget runs out mid-request (between chunks,
-    or before a shard fan-out leg could be afforded).  Carries both
+    after the last one, or before a shard fan-out leg could be
+    afforded).  Carries both
     sides of the comparison in seconds.
     """
 

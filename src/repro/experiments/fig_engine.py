@@ -8,7 +8,8 @@ contribution of :mod:`repro.engine` on the paper's headline workload
   reference implementation — one full ``(n_test, n_train)`` ranking,
   one pass, stable mergesort.
 * **engine**: :class:`repro.engine.ValuationEngine` — chunked queries,
-  the introsort-with-tie-repair rank kernel, parallel chunk execution,
+  the packed-key rank kernel (one direct sort of (distance, index)
+  keys), parallel chunk execution,
   partial-sum merging (exact by additivity, eq 8).
 * **engine (cached)**: a repeat of the same request, answered from the
   rank cache without re-sorting — the serving scenario of Section 3.2.

@@ -11,7 +11,7 @@ Three ways to get there, all exact:
 * **single-shot**: :func:`repro.core.exact.exact_knn_shapley`, the
   reference implementation, re-run on the mutated dataset;
 * **engine**: a fresh :class:`repro.engine.ValuationEngine` per event
-  (the fastest full recompute in the repo — chunked, introsort rank
+  (the fastest full recompute in the repo — chunked, packed-key rank
   kernel — but fit-once, so churn pays construction + ranking again);
 * **incremental**: :class:`repro.engine.IncrementalValuator` repairing
   its fitted rank state in place — one distance per test point, a

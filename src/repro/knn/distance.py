@@ -31,20 +31,27 @@ def squared_euclidean_distances(queries: np.ndarray, data: np.ndarray) -> np.nda
     Uses ``||a - b||^2 = ||a||^2 - 2 a.b + ||b||^2`` which is a single
     matrix multiplication instead of a ``(q, n, d)`` broadcast, keeping
     memory at O(q*n).  Small negative values from floating point
-    cancellation are clamped to zero.
+    cancellation are clamped to zero.  The arithmetic runs in place in
+    the matmul's output: ``-2ab + ||a||^2`` equals ``||a||^2 - 2ab``
+    exactly in IEEE arithmetic, so the result is bit-identical to
+    ``q_norms[:, None] - 2.0 * (Q @ X.T) + d_norms[None, :]``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     q_norms = np.einsum("ij,ij->i", queries, queries)
     d_norms = np.einsum("ij,ij->i", data, data)
-    sq = q_norms[:, None] - 2.0 * (queries @ data.T) + d_norms[None, :]
+    sq = queries @ data.T
+    sq *= -2.0
+    sq += q_norms[:, None]
+    sq += d_norms[None, :]
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
 def euclidean_distances(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Pairwise l2 distances, shape ``(q, n)``."""
-    return np.sqrt(squared_euclidean_distances(queries, data))
+    dist = squared_euclidean_distances(queries, data)
+    return np.sqrt(dist, out=dist)
 
 
 def cosine_distances(queries: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -27,56 +27,79 @@ __all__ = [
 def stable_sort_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ascending sort with ties broken by index, fast.
 
-    Returns ``(order, sorted_dist)``: for NaN-free ``dist``, ``order``
-    is exactly the permutation ``np.argsort(dist, axis=1,
-    kind="stable")`` would give, and ``sorted_dist`` equals
-    ``np.take_along_axis(dist, order, axis=1)`` bit for bit.  The
-    O(n log n) work runs with numpy's default introsort (several times
-    faster than the stable mergesort on large rows).  Introsort leaves
-    each run of exactly equal values in arbitrary index order, and
-    duplicated training rows create such runs by the hundred per row,
-    so the repair is one vectorized pass over every tied element of the
-    batch at once: a run id per element, one sort of ``(run id,
-    index)`` composite keys, written back in place.  Used by the
-    valuation engine's exact backends, where the sort dominates the
-    whole pipeline.
+    Returns ``(order, sorted_dist)``: ``order`` is
+    :func:`stable_argsort_rows`, and ``sorted_dist`` equals
+    ``np.take_along_axis(dist, order, axis=1)`` bit for bit (so
+    ``-0.0`` stays ``-0.0``).  Used by the valuation engine's exact
+    backends, where the sort dominates the whole pipeline.
     """
     dist = np.atleast_2d(dist)
-    q, n = dist.shape
-    order = np.argsort(dist, axis=1)
-    if n == 0:
-        return order, dist[:, :0].copy()
+    order = stable_argsort_rows(dist)
     # one flat take gathers every row's distances
-    shift = (np.arange(q, dtype=np.intp) * n)[:, None]
+    shift = (np.arange(dist.shape[0], dtype=np.intp) * dist.shape[1])[:, None]
     order += shift
     sorted_dist = dist.take(order)
     order -= shift
-    flat_order = order.reshape(-1)
-    flat_dist = sorted_dist.reshape(-1)
-    # tied[p]: sorted element p equals its left neighbor in the same row
-    tied = np.empty(flat_dist.size, dtype=bool)
-    np.equal(flat_dist[1:], flat_dist[:-1], out=tied[1:])
-    tied[::n] = False
-    if tied.any():
-        member = tied.copy()
-        member[:-1] |= tied[1:]
-        pos = np.flatnonzero(member)  # every element of every tie run
-        run = (np.cumsum(~tied[pos]) - 1) * n
-        keys = run + flat_order[pos]
-        keys.sort()  # runs stay in place; each run's indices ascend
-        keys -= run
-        flat_order[pos] = keys
-        # equal values may still differ in sign (-0.0 vs 0.0)
-        flat_dist[pos] = dist.take(pos - pos % n + keys)
     return order, sorted_dist
 
 
 def stable_argsort_rows(dist: np.ndarray) -> np.ndarray:
-    """The ``order`` half of :func:`stable_sort_rows`.
+    """``np.argsort(dist, axis=1, kind="stable")`` via one direct sort.
 
-    Equal to ``np.argsort(dist, axis=1, kind="stable")``.
+    Exact for NaN-free ``dist``.  Each distance becomes one int64 key:
+    its order-preserving bit pattern with the low
+    ``b = (n - 1).bit_length()`` bits replaced by its column index.  A direct
+    ``sort`` of those keys (several times faster than numpy's indirect
+    ``argsort``) orders every row by distance, and exact ties by index
+    with no repair, since equal distances share their high bits.  Only
+    distances that differ in nothing but their low ``b`` bits can come
+    out of order; they share a truncated key with a neighbour, so one
+    ``lexsort`` of just those collision runs on ``(distance, index)``
+    puts them back.  The order is read from the keys' low bits; no
+    distance is gathered (:func:`stable_sort_rows` does that).
     """
-    return stable_sort_rows(dist)[0]
+    dist = np.atleast_2d(dist)
+    if dist.size == 0:
+        return np.empty(dist.shape, dtype=np.intp)
+    q, n = dist.shape
+    b = (n - 1).bit_length()
+    low = (1 << b) - 1
+    key = np.empty((q, n), dtype=np.int64)
+    # + 0.0 folds -0.0 into +0.0: the two zeros compare equal
+    np.add(dist, 0.0, out=key.view(np.float64))
+    if key.min() < 0:
+        # negative floats order backwards as integers: flip all but the sign
+        flip = key >> 63
+        flip &= np.int64(0x7FFF_FFFF_FFFF_FFFF)
+        key ^= flip
+    key &= ~low
+    key |= np.arange(n, dtype=np.int64)
+    key.sort(axis=1)
+    order = key & low
+    # tied[p]: sorted key p shares its truncated high bits with its
+    # left neighbour in the same row (exact ties included)
+    key >>= b
+    hi = key.reshape(-1)
+    tied = np.empty(hi.size, dtype=bool)
+    np.equal(hi[1:], hi[:-1], out=tied[1:])
+    tied[::n] = False
+    right = np.flatnonzero(tied)
+    if right.size:
+        flat_order = order.reshape(-1)
+        rows = right - right % n
+        if np.any(dist.take(rows + flat_order[right])
+                  != dist.take(rows + flat_order[right - 1])):
+            # a collision run holds distinct distances: re-sort every
+            # run on (distance, index), each run staying in place
+            member = tied.copy()
+            member[:-1] |= tied[1:]
+            pos = np.flatnonzero(member)
+            idx = flat_order[pos]
+            perm = np.lexsort(
+                (idx, dist.take(pos - pos % n + idx), np.cumsum(~tied[pos]))
+            )
+            flat_order[pos] = idx[perm]
+    return order
 
 
 def argsort_by_distance(
@@ -101,6 +124,11 @@ def argsort_by_distance(
         ``distances`` is the matching sorted distance matrix.
         Ties are broken by index (stable sort) so results are
         deterministic.
+
+    This is the reference ranking: it stays on numpy's stable
+    mergesort on purpose, independent of the packed-key sort
+    (:func:`stable_sort_rows`) that the engine's backends use, so the
+    oracle never shares that sort's code.
     """
     dist = get_metric(metric)(queries, data)
     order = np.argsort(dist, axis=1, kind="stable")

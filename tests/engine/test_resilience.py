@@ -365,6 +365,22 @@ def test_engine_deadline_raises_typed(data, engine):
         engine.value(data.x_test, data.y_test, deadline_s=0.0)
 
 
+def test_one_chunk_engine_request_finished_late_raises(data, monkeypatch):
+    # the only pre-chunk check passes; the chunk itself overruns
+    engine = ValuationEngine(data.x_train, data.y_train, K)
+    rank, calls = engine.backend.rank, []
+
+    def slow_rank(queries):
+        calls.append(1)
+        time.sleep(0.1)
+        return rank(queries)
+
+    monkeypatch.setattr(engine.backend, "rank", slow_rank)
+    with pytest.raises(DeadlineExceededError):
+        engine.value(data.x_test, data.y_test, deadline_s=0.05)
+    assert calls == [1]  # one chunk, run to the end, then refused
+
+
 # ---------------------------------------------------------------------------
 # router: deadline propagation, breakers, hedging under a slow shard
 # ---------------------------------------------------------------------------
@@ -504,6 +520,27 @@ def test_every_router_deadline_miss_is_counted_once(monkeypatch):
         with pytest.raises(DeadlineExceededError, match="admission"):
             router.value(d.x_test, d.y_test, deadline_s=0.0)
         assert router.stats()["counters"]["deadline_exceeded"] == 2
+    finally:
+        router.close()
+
+
+def test_one_chunk_router_request_finished_late_raises_once(data, monkeypatch):
+    # every leg returns in time; the coordinator's merge overruns, so
+    # only the check after the last chunk can catch the late answer
+    router = _router(data, n_shards=2)
+    try:
+        merge, calls = router._merge, []
+
+        def slow_merge(*args):
+            calls.append(1)
+            time.sleep(0.6)
+            return merge(*args)
+
+        monkeypatch.setattr(router, "_merge", slow_merge)
+        with pytest.raises(DeadlineExceededError, match="after the last chunk"):
+            router.value(data.x_test, data.y_test, deadline_s=0.5)
+        assert calls == [1]
+        assert router.stats()["counters"]["deadline_exceeded"] == 1
     finally:
         router.close()
 

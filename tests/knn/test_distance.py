@@ -40,6 +40,24 @@ def test_squared_euclidean_matches_naive(pair):
     )
 
 
+def test_in_place_distances_bitwise_equal_textbook_expression(rng):
+    # duplicate rows and large offsets make cancellation, clamped
+    # zeros and exact ties: the in-place arithmetic must still match
+    # the expanded quadratic form written out, bit for bit
+    data = rng.standard_normal((300, 9)) * 10.0 + 1e3
+    data[150:] = data[:150]
+    queries = np.vstack([rng.standard_normal((20, 9)) * 10.0 + 1e3, data[:5]])
+    q_norms = np.einsum("ij,ij->i", queries, queries)
+    d_norms = np.einsum("ij,ij->i", data, data)
+    sq = q_norms[:, None] - 2.0 * (queries @ data.T) + d_norms[None, :]
+    sq = np.maximum(sq, 0.0)
+    assert (sq == 0.0).any()
+    got = squared_euclidean_distances(queries, data)
+    np.testing.assert_array_equal(got.view(np.int64), sq.view(np.int64))
+    got = euclidean_distances(queries, data)
+    np.testing.assert_array_equal(got.view(np.int64), np.sqrt(sq).view(np.int64))
+
+
 def test_manhattan_matches_naive(pair):
     q, d = pair
     expected = _naive(q, d, lambda a, b: np.sum(np.abs(a - b)))

@@ -296,8 +296,13 @@ def test_background_thread_lifecycle_and_poke():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             backend.partial_fit(rng.standard_normal((80, 4)))
+        # the refit clears needs_refit before run_once appends its event
+        # to the log, so wait for both
+        def retuned():
+            return any(e.action == "retune" and e.ok for e in sched.log)
+
         deadline = time.time() + 10.0
-        while backend.needs_refit and time.time() < deadline:
+        while (backend.needs_refit or not retuned()) and time.time() < deadline:
             time.sleep(0.02)
         assert not backend.needs_refit
         assert any(e.action == "retune" and e.ok for e in sched.log)

@@ -7,7 +7,8 @@ Each property mirrors a theorem or axiom from the paper:
 * the Appendix C bound |s_alpha_i| <= min(1/i, 1/K);
 * truncation error bound (Theorem 2);
 * heap == sort (Algorithm 2's data structure);
-* the engine's fast tie-repairing sort == numpy's stable argsort;
+* the engine's packed-key sort == numpy's stable argsort, ties,
+  signed zeros and distances differing only in the index bits included;
 * the one-pass top-k selection == numpy's stable argsort, ties included.
 """
 
@@ -181,6 +182,10 @@ def tie_dense_matrices(draw):
 @example(dist=np.array([[0.0, -0.0, 0.0, -0.0]]))
 @example(dist=np.array([[2.0], [1.0], [2.0]]))
 def test_stable_sort_rows_matches_numpy_stable(dist):
+    _assert_matches_numpy_stable(dist)
+
+
+def _assert_matches_numpy_stable(dist):
     expected = np.argsort(dist, axis=1, kind="stable")
     order, sorted_dist = stable_sort_rows(dist)
     np.testing.assert_array_equal(order, expected)
@@ -190,6 +195,35 @@ def test_stable_sort_rows_matches_numpy_stable(dist):
     np.testing.assert_array_equal(
         sorted_dist.view(np.int64), gathered.view(np.int64)
     )
+
+
+@st.composite
+def packed_key_edge_matrices(draw):
+    """Rows only a packed (distance, index) key sort can get wrong.
+
+    ``n`` sits on both sides of a power of two, so the index fills its
+    ``(n - 1).bit_length()`` low bits exactly (256) or not (255, 257).
+    ``low-bits`` rows hold distances that differ only in those bits
+    (``1.0 + j * 2**-50`` is ``4 j`` ulps above 1.0), mixed with exact
+    ties; ``specials`` rows mix signed zeros, negatives and infinities.
+    """
+    q = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 255, 256, 257]))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    if draw(st.sampled_from(["low-bits", "specials"])) == "low-bits":
+        dist = 1.0 + rng.integers(0, draw(st.integers(1, 128)), size=(q, n)) * 2.0**-50
+        sign = rng.choice(np.array([-1.0, 1.0]), size=(q, 1))
+        return dist * sign
+    values = np.array([-0.0, 0.0, -2.5, -1.0, 1.0, np.inf, -np.inf, 5e-324, -5e-324])
+    return rng.choice(values, size=(q, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=packed_key_edge_matrices())
+@example(dist=np.array([[1.0 + 3 * 2.0**-52, 1.0 + 2.0**-52, 1.0]]))
+@example(dist=-(1.0 + np.arange(256)[::-1][None, :] * 2.0**-52))
+def test_stable_sort_rows_packed_key_edges(dist):
+    _assert_matches_numpy_stable(dist)
 
 
 @st.composite

@@ -1,0 +1,117 @@
+"""Router/engine parity grid: save every value array of a seeded grid.
+
+Any change to the request pipeline or the retrieval it rests on
+(distances, the full-ranking sort, ``RequestPlan.run_chunks``, the
+router's fetch or merge) must leave values bit-identical.  The grid
+runs a seeded method x topology (engine, data-sharded router) x
+``store_per_test`` x partial (one shard failed via ``FaultInjector``)
+grid, plus LSH (ragged, some rows empty), multi-chunk engines, a
+cache-hit repeat, tie-heavy data and a multi-chunk data-sharded
+request after mutations, and saves every value array to ``.npz``.
+
+Usage, from the root of the checkout whose ``src`` is under test::
+
+    PYTHONPATH=src python tools/parity_grid.py OUT.npz
+
+Run the same script once per checkout (for example the base commit in
+a ``git worktree`` and the change), then compare the two files::
+
+    python tools/parity_grid.py --compare BASE.npz CHANGE.npz
+
+which prints ``N arrays, M differ [...]`` and exits 1 unless every
+array is ``np.array_equal``.
+"""
+
+import sys
+
+import numpy as np
+
+METHODS = {
+    "exact": {},
+    "truncated": {"epsilon": 0.2},
+    "weighted": {"weights": "rank"},
+    "mc": {"n_permutations": 7, "seed": 3},
+}
+
+
+def grid():
+    # imported here, so that --compare runs without the package
+    from repro.datasets import gaussian_blobs
+    from repro.engine import ShardRouter, ValuationEngine
+    from repro.monitor import FaultInjector
+
+    small = gaussian_blobs(n_train=300, n_test=21, n_features=6, seed=5)
+    # ties: rounded features make equal distances across shards
+    tied = gaussian_blobs(n_train=240, n_test=13, n_features=3, seed=8)
+    tied.x_train[:] = np.round(tied.x_train, 0)
+    tied.x_test[:] = np.round(tied.x_test, 0)
+    tiny = gaussian_blobs(n_train=45, n_test=6, n_features=4, seed=6)
+    big = gaussian_blobs(n_train=9000, n_test=300, n_features=4, seed=2)
+    out = {}
+    for dname, d in (("small", small), ("tied", tied), ("tiny", tiny)):
+        for method, kw in METHODS.items():
+            if dname == "tiny":  # distance weights: the configuration path
+                if method != "weighted":
+                    continue
+                kw = {"weights": "inverse_distance"}
+            for store in (False, True):
+                for chunk in (None, 5):
+                    eng = ValuationEngine(d.x_train, d.y_train, 3, chunk_size=chunk)
+                    for rep in range(2):  # second call is a cache hit
+                        r = eng.value(d.x_test, d.y_test, method=method,
+                                      store_per_test=store, **kw)
+                        out[f"{dname}/engine/{method}/{store}/{chunk}/{rep}"] = r.values
+                        if store:
+                            out[f"{dname}/engine/{method}/{store}/{chunk}/{rep}/pt"] = r.extra["per_test"]
+                for partial in (False, True):
+                    with ShardRouter(d.x_train, d.y_train, 3, n_shards=3,
+                                     on_shard_error="partial" if partial else "fail",
+                                     max_retries=0) as router, FaultInjector() as chaos:
+                        if partial:
+                            chaos.fail_shard(router, 1)
+                        r = router.value(d.x_test, d.y_test, method=method,
+                                         store_per_test=store, **kw)
+                        key = f"{dname}/router/data/{method}/{store}/{partial}"
+                        out[key] = r.values
+                        if store:
+                            out[key + "/pt"] = r.extra["per_test"]
+    # LSH: candidate rows, ragged (some empty) at a long code length
+    for name, opts in (("lsh", {"seed": 4}), ("lsh-ragged", {"seed": 4, "alpha": 4.0})):
+        eng = ValuationEngine(small.x_train, small.y_train, 3, backend="lsh",
+                              backend_options=opts)
+        out[f"{name}/engine"] = eng.value(small.x_test, small.y_test, method="lsh").values
+        for partial in (False, True):
+            with ShardRouter(small.x_train, small.y_train, 3, n_shards=3, backend="lsh",
+                             backend_options=opts,
+                             on_shard_error="partial" if partial else "fail",
+                             max_retries=0) as router, FaultInjector() as chaos:
+                if partial:
+                    chaos.fail_shard(router, 2)
+                r = router.value(small.x_test, small.y_test, method="lsh", store_per_test=True)
+                out[f"{name}/router/{partial}"] = r.values
+                out[f"{name}/router/{partial}/pt"] = r.extra["per_test"]
+    # multi-chunk data-sharded requests, after mutations
+    for method in ("exact", "mc"):
+        with ShardRouter(big.x_train, big.y_train, 5, n_shards=2) as router:
+            router.add_points(big.x_train[:7] + 0.5, big.y_train[:7])
+            router.remove_points([3, 4000, 8999])
+            r = router.value(big.x_test, big.y_test, method=method, **METHODS[method])
+            out[f"big/router/{method}"] = r.values
+    return out
+
+
+def compare(base_path: str, change_path: str) -> int:
+    """Print how many arrays differ between two grid files; 0 when none."""
+    a, b = np.load(base_path), np.load(change_path)
+    if sorted(a.files) != sorted(b.files):
+        print("the grids hold different arrays:", sorted(set(a.files) ^ set(b.files)))
+        return 1
+    bad = [k for k in a.files if not np.array_equal(a[k], b[k])]
+    print(f"{len(a.files)} arrays, {len(bad)} differ", bad[:10])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    np.savez(sys.argv[1], **grid())
