@@ -12,7 +12,8 @@ touching the valuation math:
 
 * ``"brute"`` — :class:`BruteForceBackend`, exact search over the whole
   matrix at once; the fastest plan when the ``(q, n)`` distance block
-  fits comfortably in memory.
+  fits comfortably in memory.  A large full ranking runs in row blocks
+  on otherwise idle cores.
 * ``"blocked"`` — :class:`BlockedExactBackend`, exact search with
   chunked distance computation: top-``k`` queries stream over training
   blocks with a running merge, so peak memory is ``O(q_block * (block
@@ -29,10 +30,14 @@ and tests — can enumerate and construct them uniformly.
 
 from __future__ import annotations
 
+import os
+import queue
 import threading
 import time
 import warnings
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -51,6 +56,7 @@ __all__ = [
     "register_backend",
     "available_backends",
     "make_backend",
+    "usable_cores",
 ]
 
 class NeighborBackend(ABC):
@@ -268,6 +274,13 @@ class NeighborBackend(ABC):
             "use the truncated / LSH valuation path"
         )
 
+    def rank_blocks(self) -> int:
+        """Row blocks the calling thread's last full ranking ran in.
+
+        1 for backends that never split a ranking.
+        """
+        return 1
+
     def cache_token(self) -> str:
         """A string identifying this backend's *result semantics*.
 
@@ -280,8 +293,135 @@ class NeighborBackend(ABC):
 
 
 # ----------------------------------------------------------------------
+# one full ranking on the idle cores
+
+#: the fewest distance entries a row block of a split ranking keeps
+SPLIT_FLOOR = 1 << 17
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's count."""
+    count = getattr(os, "process_cpu_count", None)
+    if count is not None:
+        n = count()
+    else:
+        try:
+            n = len(os.sched_getaffinity(0))
+        except (AttributeError, OSError):
+            n = os.cpu_count()
+    return max(1, n or 1)
+
+
+class _Block:
+    """One row block handed to a helper; ``done`` is set once it ran."""
+
+    __slots__ = ("fn", "error", "done")
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fn = fn
+        self.error: Optional[BaseException] = None
+        self.done = threading.Event()
+
+
+class _RankHelpers:
+    """Process-wide helper threads that run row blocks of one ranking.
+
+    *Occupancy* is the full rankings in flight in the process plus the
+    helpers running a block.  A ranking gets a helper only while
+    occupancy is below :func:`usable_cores`, and only one that is idle
+    at that moment: the caller never waits for a helper to free up, it
+    runs the rest itself.  So nested callers (engine chunk threads,
+    service workers, router legs) cannot deadlock, and a split never
+    oversubscribes: a helper starts a block only while rankings plus
+    busy helpers stay within the cores.  A helper's block never ranks
+    again, so waiting for the blocks a caller handed out always ends.
+
+    The helpers are daemon threads named ``repro-rank-<i>``, at most
+    ``usable_cores() - 1`` of them, started at the first split.  No
+    engine owns them.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._rankings = 0
+        self._busy = 0
+        self._idle: list = []
+        self._started = 0
+
+    @contextmanager
+    def ranking(self):
+        """Count one full ranking in flight for the duration."""
+        with self._lock:
+            self._rankings += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._rankings -= 1
+
+    def claim(self, wanted: int, cores: int) -> list:
+        """Inboxes of up to ``wanted`` idle helpers, within occupancy."""
+        with self._lock:
+            take = min(wanted, cores - self._rankings - self._busy)
+            while len(self._idle) < take and self._started < cores - 1:
+                inbox: queue.SimpleQueue = queue.SimpleQueue()
+                threading.Thread(
+                    target=self._serve, args=(inbox,),
+                    name=f"repro-rank-{self._started}", daemon=True,
+                ).start()
+                self._started += 1
+                self._idle.append(inbox)
+            take = max(0, min(take, len(self._idle)))
+            claimed = [self._idle.pop() for _ in range(take)]
+            self._busy += take
+        return claimed
+
+    def _serve(self, inbox: queue.SimpleQueue) -> None:
+        while True:
+            block = inbox.get()
+            try:
+                block.fn()
+            except BaseException as exc:  # handed back to the caller
+                block.error = exc
+            # idle again before the caller wakes, so its next ranking
+            # can claim this helper
+            with self._lock:
+                self._busy -= 1
+                self._idle.append(inbox)
+            block.done.set()
+
+    @staticmethod
+    def run(inboxes: list, jobs: list, own: Callable[[], None]) -> None:
+        """Hand ``jobs[i]`` to ``inboxes[i]``, run ``own``, wait for all."""
+        blocks = [_Block(job) for job in jobs]
+        for inbox, block in zip(inboxes, blocks):
+            inbox.put(block)
+        try:
+            own()
+        finally:
+            for block in blocks:
+                block.done.wait()
+        for block in blocks:
+            if block.error is not None:
+                raise block.error
+
+
+_HELPERS = _RankHelpers()
+
+
+# ----------------------------------------------------------------------
 class BruteForceBackend(NeighborBackend):
     """Exact search computing the whole distance block at once.
+
+    A full ranking (:meth:`rank`, :meth:`rank_with_distances`) runs in
+    up to :func:`usable_cores` row blocks when cores are idle.  Each
+    block computes its rows' distances and sorts them into its slice of
+    one ``(q, n)`` result; a row's distances and order do not depend on
+    the rows beside it, so the result is bit-identical to one block.
+    Every block keeps at least two rows (a one-row product goes through
+    BLAS ``gemv``, which sums in another order than ``gemm``) and about
+    ``SPLIT_FLOOR`` distance entries, below which a thread handoff
+    costs more than it saves.
 
     Parameters
     ----------
@@ -297,6 +437,8 @@ class BruteForceBackend(NeighborBackend):
         super().__init__()
         get_metric(metric)  # validate eagerly
         self.metric = metric
+        self._ops.update(rank_splits=0, rank_split_declined=0)
+        self._last = threading.local()
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         data = self._require_fitted()
@@ -309,22 +451,56 @@ class BruteForceBackend(NeighborBackend):
         # same metric as query() — not a rank-equivalent shortcut — so
         # tie-breaks agree bit-for-bit with top_k and a cached full
         # ranking can serve top-k requests interchangeably
-        data = self._require_fitted()
         start = time.perf_counter()
-        dist = get_metric(self.metric)(queries, data)
-        order = stable_argsort_rows(dist)
+        (order,) = self._ranked(
+            queries, lambda dist: (stable_argsort_rows(dist),), (np.intp,)
+        )
         self.record_retrieval(order.shape[0], time.perf_counter() - start)
         return order
 
     def rank_with_distances(
         self, queries: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        data = self._require_fitted()
         start = time.perf_counter()
-        dist = get_metric(self.metric)(queries, data)
-        order, sorted_dist = stable_sort_rows(dist)
+        order, sorted_dist = self._ranked(
+            queries, stable_sort_rows, (np.intp, np.float64)
+        )
         self.record_retrieval(order.shape[0], time.perf_counter() - start)
         return order, sorted_dist
+
+    def rank_blocks(self) -> int:
+        return getattr(self._last, "blocks", 1)
+
+    def _ranked(self, queries: np.ndarray, sort, dtypes: tuple) -> tuple:
+        """``sort(distances)`` of every query row, in 1..cores row blocks.
+
+        ``sort`` returns one ``(rows, n)`` array per entry of ``dtypes``.
+        """
+        data = self._require_fitted()
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        metric = get_metric(self.metric)
+        q, n = queries.shape[0], data.shape[0]
+        with _HELPERS.ranking():
+            cores = usable_cores()
+            wanted = min(cores, q // max(2, -(-SPLIT_FLOOR // n))) - 1
+            helpers = _HELPERS.claim(wanted, cores) if wanted > 0 else []
+            self._count("rank_splits" if helpers else "rank_split_declined")
+            self._last.blocks = len(helpers) + 1
+            if not helpers:
+                return sort(metric(queries, data))
+            outs = tuple(np.empty((q, n), dtype=dtype) for dtype in dtypes)
+            cuts = [q * i // (len(helpers) + 1) for i in range(len(helpers) + 2)]
+
+            def block(s: int, e: int) -> None:
+                for out, part in zip(outs, sort(metric(queries[s:e], data))):
+                    out[s:e] = part
+
+            _HELPERS.run(
+                helpers,
+                [partial(block, s, e) for s, e in zip(cuts[1:-1], cuts[2:])],
+                partial(block, 0, cuts[1]),
+            )
+            return outs
 
     # the index *is* the data matrix: base-class mutation needs no refit
     def _partial_fit(self, points: np.ndarray) -> None:

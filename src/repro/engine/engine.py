@@ -46,7 +46,6 @@ merging for free:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -66,7 +65,7 @@ from ..types import (
     as_label_vector,
     as_new_points,
 )
-from .backends import LSHNeighborBackend, NeighborBackend, make_backend
+from .backends import LSHNeighborBackend, NeighborBackend, make_backend, usable_cores
 from .cache import RankCache, array_fingerprint
 from .plan import RequestPlan, _Budget, as_query_batch, plan_request
 
@@ -74,7 +73,7 @@ __all__ = ["ValuationEngine"]
 
 
 def _default_workers() -> int:
-    return max(1, min(4, os.cpu_count() or 1))
+    return min(4, usable_cores())
 
 
 def chunk_spans(
@@ -163,8 +162,9 @@ class ValuationEngine:
         ``True`` (default) for a private :class:`RankCache`, ``False``
         to disable memoization, or a shared :class:`RankCache`.
     n_workers:
-        Thread count for chunk execution; defaults to
-        ``min(4, cpu_count)``.
+        Thread count for chunk execution; defaults to ``min(4, usable
+        cores)``, the CPUs this process may run on (its affinity mask,
+        not the host's CPU count).
     chunk_size:
         Test points per chunk; defaults to a size keeping each chunk's
         working set a few million elements.
@@ -274,7 +274,8 @@ class ValuationEngine:
         Returns ``self`` for chaining.  Each served request then opens
         an ``engine.request`` root span with one ``engine.chunk`` child
         per executed chunk (each holding its ``backend.rank`` /
-        ``backend.query`` retrieval and ``kernel.<name>`` spans), an
+        ``backend.query`` retrieval and ``kernel.<name>`` spans;
+        ``backend.rank`` records the row ``blocks`` it ran in), an
         ``engine.merge`` child, and attributes for the cache outcome
         and — for ``method="weighted"`` — the chosen execution path;
         the finished tree lands in ``ValuationResult.extra["trace"]``.
@@ -773,10 +774,13 @@ class ValuationEngine:
                 with tracer.span("backend.query", parent=chunk, backend=backend.name):
                     got = backend.query(x_test[s:e], k_eff)
                     return got if need_dist else got[0]
-            with tracer.span("backend.rank", parent=chunk, backend=backend.name):
+            with tracer.span("backend.rank", parent=chunk, backend=backend.name) as span:
                 if need_dist:
-                    return backend.rank_with_distances(x_test[s:e])
-                return backend.rank(x_test[s:e]), None
+                    got = backend.rank_with_distances(x_test[s:e])
+                else:
+                    got = backend.rank(x_test[s:e]), None
+                span.set("blocks", backend.rank_blocks())
+                return got
 
         if key is None or (
             x_test.shape[0] * self.n_train > cache.max_entry_elements

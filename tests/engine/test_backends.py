@@ -1,5 +1,9 @@
 """Tests for the pluggable neighbor backends and their registry."""
 
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,11 +14,15 @@ from repro.engine import (
     BruteForceBackend,
     LSHNeighborBackend,
     NeighborBackend,
+    ValuationEngine,
     available_backends,
     make_backend,
 )
+from repro.engine import backends as backends_mod
+from repro.engine.backends import SPLIT_FLOOR, usable_cores
 from repro.exceptions import NotFittedError, ParameterError
 from repro.knn import argsort_by_distance, top_k
+from repro.monitor import Tracer
 
 
 # ----------------------------------------------------------------- registry
@@ -319,3 +327,219 @@ def test_lsh_churn_changes_cache_token(rng, full_recall_params):
     assert t0 != t1
     backend.forget([5])
     assert backend.cache_token() != t1
+
+
+# ------------------------------------------------- row-split full ranking
+def _tied(rng, n, q, d):
+    """One-decimal features plus 2% duplicate rows: exact distance ties
+    by the hundred, yet inexact products, so a block that summed in
+    another order would show."""
+    data = np.round(rng.standard_normal((n, d)), 1)
+    data[rng.choice(n, n // 50)] = data[rng.choice(n, n // 50)]
+    return data, np.round(rng.standard_normal((q, d)), 1)
+
+
+def _market(rng, n, q, d):
+    """Gaussian points with 2% duplicate training rows."""
+    data = rng.standard_normal((n, d))
+    data[rng.choice(n, n // 50)] = data[rng.choice(n, n // 50)]
+    return data, rng.standard_normal((q, d))
+
+
+def _expected_blocks(q, n, cores):
+    return max(1, min(cores, q // max(2, -(-SPLIT_FLOOR // n))))
+
+
+def _rankings(backend, queries):
+    return backend.rank(queries), backend.rank_with_distances(queries)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "manhattan"])
+@pytest.mark.parametrize(
+    "q, n",
+    [(1, 6000), (2, SPLIT_FLOOR), (3, SPLIT_FLOOR), (63, 6000), (64, 6000),
+     (64, 12000), (8, 40000), (16, 6000), (64, 1000)],
+)
+def test_split_rank_is_bit_identical_to_one_block(rng, monkeypatch, metric, q, n):
+    data, queries = _tied(rng, n, q, 3)
+    backend = BruteForceBackend(metric=metric).fit(data)
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 1)
+    serial = _rankings(backend, queries)
+    assert backend.rank_blocks() == 1
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 4)
+    split = _rankings(backend, queries)
+    blocks = _expected_blocks(q, n, 4)
+    assert backend.rank_blocks() == blocks
+    # market-exact (64x6000) and overload-burst (8x40000) split;
+    # sharded-audit's 16x6000 shard legs do not
+    counters = backend.stats()["counters"]
+    splits = 2 if blocks > 1 else 0
+    assert (counters["rank_splits"], counters["rank_split_declined"]) == (splits, 4 - splits)
+    np.testing.assert_array_equal(split[0], serial[0])
+    for got, want in zip(split[1], serial[1]):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    # the oracle's mergesort agrees, not only the serial packed-key sort
+    np.testing.assert_array_equal(
+        split[0], argsort_by_distance(queries, data, metric=metric)[0]
+    )
+
+
+def test_concurrent_rankings_never_split_past_the_cores(rng, monkeypatch):
+    cores = 2
+    data, _ = _market(rng, 6000, 1, 8)
+    backend = BruteForceBackend().fit(data)
+    batches = [_market(rng, 10, 64, 8)[1] for _ in range(8)]
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 1)
+    want = [backend.rank(x) for x in batches]
+
+    real = backends_mod.get_metric("euclidean")
+    lock = threading.Lock()
+    running, peak = [0], [0]
+
+    def counting(a, b):
+        # a block of a split ranking: on a helper, or on a caller that
+        # split.  A splitting caller outlasts its helper, so the idle
+        # helper could be claimed again while that caller still runs.
+        name = threading.current_thread().name
+        on_helper = name.startswith("repro-rank-")
+        split = on_helper or backend.rank_blocks() > 1
+        with lock:
+            running[0] += split
+            peak[0] = max(peak[0], running[0])
+        try:
+            if not on_helper:
+                time.sleep(0.02 if split else 0.002 * (1 + int(name[7:]) % 4))
+            return real(a, b)
+        finally:
+            with lock:
+                running[0] -= split
+
+    monkeypatch.setattr(backends_mod, "get_metric", lambda name: counting)
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: cores)
+    before = backend.stats()["counters"]
+    got = [None] * len(batches)
+    start = threading.Barrier(len(batches))
+
+    def worker(i):
+        start.wait()
+        for _ in range(3):
+            got[i] = backend.rank(batches[i])
+
+    threads = [
+        threading.Thread(target=worker, args=(i,), name=f"caller-{i}")
+        for i in range(len(batches))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert peak[0] <= cores
+    after = backend.stats()["counters"]
+    calls = sum(after[k] - before[k] for k in ("rank_splits", "rank_split_declined"))
+    assert calls == 3 * len(batches)
+
+
+def test_caller_ranks_alone_while_the_helper_is_busy(rng, monkeypatch):
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 2)
+    data, queries = _market(rng, 6000, 64, 8)
+    backend = BruteForceBackend().fit(data)
+    want = backend.rank(queries)
+    assert backend.rank_blocks() == 2  # a free helper is used
+    helpers = backends_mod._HELPERS
+    (inbox,) = helpers.claim(1, 2)
+    release = threading.Event()
+    held = backends_mod._Block(release.wait)
+    inbox.put(held)
+    try:
+        before = backend.stats()["counters"]["rank_split_declined"]
+        np.testing.assert_array_equal(backend.rank(queries), want)
+        assert backend.rank_blocks() == 1
+        assert backend.stats()["counters"]["rank_split_declined"] == before + 1
+    finally:
+        release.set()
+        assert held.done.wait(10)
+    np.testing.assert_array_equal(backend.rank(queries), want)
+    assert backend.rank_blocks() == 2
+
+
+def test_no_split_while_another_ranking_holds_the_other_core(rng, monkeypatch):
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 2)
+    data, queries = _market(rng, 6000, 64, 8)
+    backend = BruteForceBackend().fit(data)
+    real = backends_mod.get_metric("euclidean")
+    entered, release = threading.Event(), threading.Event()
+
+    def parked(a, b):
+        if a.shape[0] == 4:  # the small ranking waits mid-flight
+            entered.set()
+            release.wait(10)
+        return real(a, b)
+
+    monkeypatch.setattr(backends_mod, "get_metric", lambda name: parked)
+    other = threading.Thread(target=backend.rank, args=(queries[:4],))
+    other.start()
+    try:
+        assert entered.wait(10)
+        backend.rank(queries)
+        assert backend.rank_blocks() == 1  # the idle helper stays idle
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    backend.rank(queries)
+    assert backend.rank_blocks() == 2
+
+
+def test_helper_errors_reach_the_caller(rng, monkeypatch):
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 2)
+    backend = BruteForceBackend().fit(rng.standard_normal((6000, 4)))
+    real = backends_mod.get_metric("euclidean")
+
+    def failing_on_helpers(a, b):
+        if threading.current_thread().name.startswith("repro-rank-"):
+            raise FloatingPointError("helper block failed")
+        return real(a, b)
+
+    monkeypatch.setattr(backends_mod, "get_metric", lambda name: failing_on_helpers)
+    with pytest.raises(FloatingPointError):
+        backend.rank(rng.standard_normal((64, 4)))
+    monkeypatch.setattr(backends_mod, "get_metric", lambda name: real)
+    backend.rank(rng.standard_normal((64, 4)))  # the helper is idle again
+    assert backend.rank_blocks() == 2
+
+
+def test_usable_cores_follows_the_affinity_mask(rng, monkeypatch):
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cores() == 1
+    x, y = rng.standard_normal((6000, 4)), rng.integers(0, 2, 6000)
+    engine = ValuationEngine(x, y, 3)
+    assert engine.n_workers == 1
+    engine.value(rng.standard_normal((64, 4)), rng.integers(0, 2, 64))
+    counters = engine.stats()["backend"]["counters"]
+    assert counters["rank_splits"] == 0
+    assert counters["rank_split_declined"] == 1
+
+
+def test_engine_rank_span_records_blocks(rng, monkeypatch):
+    monkeypatch.setattr(backends_mod, "usable_cores", lambda: 2)
+    x, y = rng.standard_normal((6000, 8)), rng.integers(0, 2, 6000)
+    engine = ValuationEngine(x, y, 3, cache=False).attach_tracer(Tracer())
+    for q, blocks in ((64, 2), (8, 1)):
+        res = engine.value(rng.standard_normal((q, 8)), rng.integers(0, 2, q))
+        spans = [
+            span
+            for chunk in res.extra["trace"]["children"]
+            for span in chunk["children"]
+            if span["name"] == "backend.rank"
+        ]
+        assert [span["attributes"]["blocks"] for span in spans] == [blocks]

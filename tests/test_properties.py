@@ -9,8 +9,11 @@ Each property mirrors a theorem or axiom from the paper:
 * heap == sort (Algorithm 2's data structure);
 * the engine's packed-key sort == numpy's stable argsort, ties,
   signed zeros and distances differing only in the index bits included;
-* the one-pass top-k selection == numpy's stable argsort, ties included.
+* the one-pass top-k selection == numpy's stable argsort, ties included;
+* a brute ranking split into row blocks == the same ranking in one block.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from repro.core import (
     truncation_rank,
 )
 from repro.core.heap import KNearestHeap
+from repro.engine import BruteForceBackend
+from repro.engine import backends as backends_mod
 from repro.knn import get_metric, stable_argsort_rows, stable_sort_rows, top_k
 from repro.metrics import max_abs_error
 from repro.types import Dataset
@@ -250,3 +255,31 @@ def test_top_k_matches_numpy_stable_on_ties(instance):
         sel_dist.view(np.int64),
         np.take_along_axis(dist, expected, axis=1).view(np.int64),
     )
+
+
+@st.composite
+def split_rank_instances(draw):
+    """One-decimal points around the split floor, so some rankings split."""
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    q = draw(st.integers(2, 8))
+    n = draw(st.integers(backends_mod.SPLIT_FLOOR // 4, backends_mod.SPLIT_FLOOR))
+    d = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 4.0]))
+    data = np.round(rng.standard_normal((n, d)) * scale, 1)
+    queries = np.round(rng.standard_normal((q, d)) * scale, 1)
+    metric = draw(st.sampled_from(["euclidean", "cosine", "manhattan"]))
+    return queries, data, metric, draw(st.integers(2, 4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(instance=split_rank_instances())
+def test_split_ranking_equals_one_block(instance):
+    queries, data, metric, cores = instance
+    backend = BruteForceBackend(metric=metric).fit(data)
+    with mock.patch.object(backends_mod, "usable_cores", lambda: 1):
+        order = backend.rank(queries)
+        pair = backend.rank_with_distances(queries)
+    with mock.patch.object(backends_mod, "usable_cores", lambda: cores):
+        np.testing.assert_array_equal(backend.rank(queries), order)
+        for got, want in zip(backend.rank_with_distances(queries), pair):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -6,8 +6,11 @@ router's fetch or merge) must leave values bit-identical.  The grid
 runs a seeded method x topology (engine, data-sharded router) x
 ``store_per_test`` x partial (one shard failed via ``FaultInjector``)
 grid, plus LSH (ragged, some rows empty), multi-chunk engines, a
-cache-hit repeat, tie-heavy data and a multi-chunk data-sharded
-request after mutations, and saves every value array to ``.npz``.
+cache-hit repeat, tie-heavy data, a multi-chunk data-sharded
+request after mutations, and exact and weighted requests large enough
+for the brute backend to split their ranking into row blocks (q=64,
+N=6000, 2% duplicate rows, cold then cached), and saves every value
+array to ``.npz``.
 
 Usage, from the root of the checkout whose ``src`` is under test::
 
@@ -90,6 +93,16 @@ def grid():
                 r = router.value(small.x_test, small.y_test, method="lsh", store_per_test=True)
                 out[f"{name}/router/{partial}"] = r.values
                 out[f"{name}/router/{partial}/pt"] = r.extra["per_test"]
+    # above the brute backend's split floor: one request ranks in row
+    # blocks on idle cores; the second call is a cache hit
+    market = gaussian_blobs(n_train=6000, n_test=64, n_features=64, seed=9)
+    rng = np.random.default_rng(9)
+    market.x_train[rng.choice(6000, 120)] = market.x_train[rng.choice(6000, 120)]
+    eng = ValuationEngine(market.x_train, market.y_train, 5)
+    for method in ("exact", "weighted"):
+        for rep in range(2):
+            r = eng.value(market.x_test, market.y_test, method=method, **METHODS[method])
+            out[f"market/engine/{method}/{rep}"] = r.values
     # multi-chunk data-sharded requests, after mutations
     for method in ("exact", "mc"):
         with ShardRouter(big.x_train, big.y_train, 5, n_shards=2) as router:
