@@ -74,16 +74,11 @@ WORKLOAD = {
     "weighted_fast_distance_weights": "inverse_distance",
     # weighted frontier (PR 8): the regression piecewise path vs the
     # configuration engine at serving-scale N (the >= 100x acceptance
-    # bar), and the streaming engine's deterministic resident-bytes
-    # quotient vs the materialized arrays (bit-identity hard-checked)
+    # bar)
     "frontier_n_regression": 2000,
     "frontier_regression_k": 2,
-    "frontier_n_stream": 200,
-    "frontier_stream_k": 3,
-    "frontier_stream_block_rows": 1 << 11,
     "frontier_n_test": 2,
     "frontier_rank_weights": "rank",
-    "frontier_distance_weights": "gaussian",
     # tracing workload (PR 6): serving overhead of a fully enabled
     # tracer (span log + hub streaming, cache off) vs the NOOP default
     "trace_n_train": 4000,
@@ -212,13 +207,9 @@ def measure() -> dict:
     frontier = weighted_frontier(
         n_regression=WORKLOAD["frontier_n_regression"],
         regression_k=WORKLOAD["frontier_regression_k"],
-        n_stream=WORKLOAD["frontier_n_stream"],
-        stream_k=WORKLOAD["frontier_stream_k"],
-        stream_block_rows=WORKLOAD["frontier_stream_block_rows"],
         n_test=WORKLOAD["frontier_n_test"],
         n_features=WORKLOAD["n_features"],
         rank_only_weights=WORKLOAD["frontier_rank_weights"],
-        distance_weights=WORKLOAD["frontier_distance_weights"],
         seed=WORKLOAD["seed"],
     ).rows[0]
     return {
@@ -256,12 +247,6 @@ def measure() -> dict:
             "weighted_regression_piecewise_speedup": min(
                 frontier["regression_speedup"], 150.0
             ),
-            # deterministic resident-bytes quotient: materialized
-            # configuration arrays over the streaming engine's fixed
-            # block — pure arithmetic, no timing noise
-            "weighted_streaming_memory_ratio": frontier[
-                "streaming_memory_ratio"
-            ],
             # ~1.0 = monitoring is free on the serving path; dropping
             # toward 0.95 means ~5% overhead (the bench_monitor bar)
             "monitor_overhead_margin": monitor_overhead["overhead_margin"],
@@ -325,10 +310,6 @@ def measure() -> dict:
                 "regression_speedup"
             ],
             "weighted_regression_max_err": frontier["regression_max_err"],
-            "weighted_streaming_materialized_s": frontier["materialized_s"],
-            "weighted_streaming_s": frontier["streaming_s"],
-            "weighted_streaming_overhead": frontier["streaming_overhead"],
-            "weighted_streaming_max_err": frontier["streaming_max_err"],
             "monitor_plain_s": monitor_overhead["plain_s"],
             "monitor_monitored_s": monitor_overhead["monitored_s"],
             "monitor_recall_degraded": monitor_recovery["recall_degraded"],
@@ -398,7 +379,7 @@ def check(baseline: dict, candidate: dict, tolerance: float) -> list[str]:
         )
     # the weighted-frontier acceptance bars are absolute: regression
     # piecewise within 1e-12 of the configuration engine AND >= 100x
-    # faster at serving-scale N; streaming bit-identical (err == 0)
+    # faster at serving-scale N
     rerr = candidate["info"].get("weighted_regression_max_err")
     if rerr is not None and rerr > 1e-12:
         failures.append(
@@ -412,12 +393,6 @@ def check(baseline: dict, candidate: dict, tolerance: float) -> list[str]:
         failures.append(
             f"weighted_regression_piecewise_speedup_raw: {rspeed:.1f} "
             "below the 100x acceptance floor"
-        )
-    serr_stream = candidate["info"].get("weighted_streaming_max_err")
-    if serr_stream is not None and serr_stream != 0.0:
-        failures.append(
-            f"weighted_streaming_max_err: {serr_stream:g} nonzero (the "
-            "streaming engine no longer bit-matches the materialized one)"
         )
     # the maintenance acceptance bar is absolute (within 2% of a fresh
     # tune), tighter than the ratio gate's tolerance

@@ -81,7 +81,6 @@ from .kernels import (
     truncated_rank_values,
     weighted_rank_only_values,
     weighted_rank_values,
-    weighted_rank_values_batched,
 )
 from .montecarlo import baseline_mc_shapley, improved_mc_shapley
 from .piecewise import (
@@ -115,7 +114,6 @@ __all__ = [
     "regression_rank_values",
     "weighted_rank_values",
     "weighted_rank_only_values",
-    "weighted_rank_values_batched",
     "BatchedWeightedRecursion",
     "pad_weight_table",
     "exact_knn_shapley",

@@ -16,9 +16,9 @@ kernel          recursion                                    complexity
 ``weighted``    Theorem 7 / eq (75) (weighted KNN)           see below
 ==============  ===========================================  ==========
 
-The ``weighted`` kernel picks one of five execution paths
-(``mode="auto"`` selects by weight-function capability, task and an
-explicit memory estimate; see :meth:`WeightedKernel.select_path`):
+The ``weighted`` kernel picks one of four execution paths
+(``mode="auto"`` selects by weight-function capability and task; see
+:meth:`WeightedKernel.select_path`):
 
 ==============  ============================================  ==========  ===============
 path            applies to                                    complexity  config memory
@@ -26,8 +26,7 @@ path            applies to                                    complexity  config
 ``k1``          K = 1, built-in (normalizing) weights         O(N)        —
 ``piecewise``   rank-only weights, classification             O(N·K^2)    —
 ``piecewise``   rank-only weights, regression (label moments) O(N·K^3)    —
-``vectorized``  any weights / task (batched configurations)   O(N^K)      O(C(N-2,K-1)·K)
-``streaming``   any weights / task (fixed-size blocks)        O(N^K)      O(block_rows·K)
+``vectorized``  any weights / task (batched configurations)   O(N^K)      O(block_rows·K)
 ``reference``   any weights / task (audited eq 74/75 loop)    O(N^K)      —
 ==============  ============================================  ==========  ===============
 
@@ -36,16 +35,14 @@ path            applies to                                    complexity  config
 recursion, polynomial in both N and K; for regression the counting
 sums carry binomial-weighted first/second label moments instead of
 coalition counts.  ``vectorized`` evaluates the same eq (74)/(75) sums
-as ``reference`` but enumerates the top-(K-1) configurations as
-integer arrays (colex order, served by a bounded byte-capped cache —
-see :func:`weighted_config_cache_stats`) and evaluates whole blocks of
-coalitions per numpy pass (pad weights folded through a precomputed
-comb table), trading nothing but summation order — a pure
-constant-factor win over the per-coalition Python recursion.
-``streaming`` feeds the identical blocks from a colex run generator
-(:func:`iter_combination_blocks`) instead of materialized arrays:
-bit-identical results at a fixed configuration-memory budget for any
-K.
+as ``reference`` but enumerates the top-(K-1) configurations in
+fixed-size colex blocks (:func:`iter_combination_blocks`) and
+evaluates whole blocks of coalitions per numpy pass (pad weights
+folded through a precomputed comb table), trading nothing but
+summation order — a pure constant-factor win over the per-coalition
+Python recursion, at ``O(block_rows·K)`` configuration memory for any
+N and K.  Its price is its configuration count, so a request's
+deadline is checked between blocks (:func:`block_checks`).
 
 The public modules :mod:`repro.core.exact`, :mod:`repro.core.truncated`,
 :mod:`repro.core.regression` and :mod:`repro.core.weighted` are thin
@@ -91,16 +88,14 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import (
-    KernelCapabilityError,
-    MemoryBudgetError,
-    ParameterError,
-)
+from ..exceptions import KernelCapabilityError, ParameterError
 from ..knn.weights import (
     WeightFunction,
     apply_weights_batched,
@@ -131,20 +126,15 @@ __all__ = [
     "weighted_rank_values",
     "weighted_rank_only_values",
     "weighted_regression_rank_only_values",
-    "weighted_rank_values_batched",
     "BatchedWeightedRecursion",
+    "block_checks",
     "iter_combination_blocks",
-    "materialized_config_bytes",
     "pad_weight_table",
     "truncation_rank",
     "register_kernel",
     "get_kernel",
     "available_kernels",
-    "weighted_config_cache_stats",
-    "weighted_config_cache_clear",
     "WEIGHTED_VALUE_CACHE_LIMIT",
-    "WEIGHTED_CONFIG_CACHE_BYTES",
-    "WEIGHTED_MATERIALIZED_BUDGET_BYTES",
 ]
 
 
@@ -605,14 +595,14 @@ def pad_weight_table(n: int, k: int) -> np.ndarray:
 def _colex_combinations(n_items: int, r: int) -> np.ndarray:
     """All size-``r`` sorted index combinations, in *colex* order.
 
-    Colex (compare the last element first) is the enumeration both the
-    materialized and the streaming configuration paths share: its
-    recursive structure — the rows ending in ``c`` are exactly
-    ``colex(c, r-1)`` with a ``c`` column appended, and ``colex(c,
-    r-1)`` is a prefix of ``colex(n, r-1)`` — lets the full array build
-    column-by-column from ramps and repeats (no per-row Python), and
-    lets :func:`iter_combination_blocks` emit the identical sequence
-    with fixed-size blocks and no bigint unranking.
+    Colex (compare the last element first) is the order of the
+    configuration engine's enumeration, and this function is the
+    materialized reference :func:`iter_combination_blocks` is tested
+    against: the rows ending in ``c`` are exactly ``colex(c, r-1)``
+    with a ``c`` column appended, and ``colex(c, r-1)`` is a prefix of
+    ``colex(n, r-1)`` — so the full array builds column-by-column from
+    ramps and repeats (no per-row Python), and the generator emits the
+    identical sequence in fixed-size blocks with no bigint unranking.
     """
     if r == 0:
         return np.zeros((1, 0), dtype=np.intp)
@@ -634,77 +624,6 @@ def _colex_combinations(n_items: int, r: int) -> np.ndarray:
     return out
 
 
-#: Byte cap on the shared configuration-array cache.  Configuration
-#: index arrays depend only on ``(n_items, r)`` and are reused across
-#: test points, requests and engines — but under varied (N, K) serving
-#: an unbounded memo is a slow leak, so insertion past the cap evicts
-#: the oldest entries (FIFO), mirroring the
-#: :data:`WEIGHTED_VALUE_CACHE_LIMIT` idiom.  Arrays larger than the
-#: cap bypass the cache entirely.
-WEIGHTED_CONFIG_CACHE_BYTES = 64 << 20
-
-_CONFIG_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-_CONFIG_CACHE_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "evictions": 0,
-    "oversize": 0,
-    "bytes": 0,
-}
-
-
-def weighted_config_cache_stats() -> dict:
-    """Counters of the shared configuration-array cache.
-
-    ``hits`` / ``misses`` count lookups, ``evictions`` FIFO removals
-    under the byte cap, ``oversize`` arrays too large to cache at all,
-    ``bytes`` / ``entries`` the current residency, and
-    ``capacity_bytes`` the cap
-    (:data:`WEIGHTED_CONFIG_CACHE_BYTES`).
-    """
-    return {
-        **_CONFIG_CACHE_STATS,
-        "entries": len(_CONFIG_CACHE),
-        "capacity_bytes": int(WEIGHTED_CONFIG_CACHE_BYTES),
-    }
-
-
-def weighted_config_cache_clear() -> None:
-    """Drop every cached configuration array and zero the counters."""
-    _CONFIG_CACHE.clear()
-    for key in _CONFIG_CACHE_STATS:
-        _CONFIG_CACHE_STATS[key] = 0
-
-
-def _combination_array(n_items: int, r: int) -> np.ndarray:
-    """All size-``r`` combinations as an ``(M, r)`` array, colex order.
-
-    Served through the bounded byte-capped FIFO cache — the arrays are
-    shared (and marked read-only) across every
-    :class:`BatchedWeightedRecursion` of the same ``(n_items, r)``.
-    """
-    key = (int(n_items), int(r))
-    arr = _CONFIG_CACHE.get(key)
-    if arr is not None:
-        _CONFIG_CACHE_STATS["hits"] += 1
-        return arr
-    _CONFIG_CACHE_STATS["misses"] += 1
-    arr = _colex_combinations(n_items, r)
-    arr.setflags(write=False)
-    cap = int(WEIGHTED_CONFIG_CACHE_BYTES)
-    if arr.nbytes > cap:
-        _CONFIG_CACHE_STATS["oversize"] += 1
-        return arr
-    while _CONFIG_CACHE and _CONFIG_CACHE_STATS["bytes"] + arr.nbytes > cap:
-        oldest = next(iter(_CONFIG_CACHE))
-        evicted = _CONFIG_CACHE.pop(oldest)
-        _CONFIG_CACHE_STATS["bytes"] -= evicted.nbytes
-        _CONFIG_CACHE_STATS["evictions"] += 1
-    _CONFIG_CACHE[key] = arr
-    _CONFIG_CACHE_STATS["bytes"] += arr.nbytes
-    return arr
-
-
 def iter_combination_blocks(
     n_items: int, r: int, block_rows: int = 1 << 15
 ):
@@ -713,14 +632,12 @@ def iter_combination_blocks(
     Yields ``(block_rows, r)`` integer arrays (the final block may be
     shorter) whose concatenation equals
     :func:`_colex_combinations` ``(n_items, r)`` row-for-row — the
-    streaming configuration engine's enumeration feeder.  Nothing
+    configuration engine's only source of configurations.  Nothing
     proportional to ``C(n_items, r)`` is ever resident: blocks are
     assembled from *runs* (for a fixed suffix ``c_1 < ... < c_{r-1}``
     the first column is just ``arange(c_1)``), with the suffix advanced
     by the colex successor rule — ``O(1)`` integer work per run, no
-    bigint unranking.  Identical block boundaries are what make the
-    streaming path bit-identical to the materialized one: both feed the
-    same row sets to the same float reductions in the same order.
+    bigint unranking.
     """
     if block_rows < 1:
         raise ParameterError(f"block_rows must be positive, got {block_rows}")
@@ -800,61 +717,51 @@ def iter_combination_blocks(
         yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
 
-def materialized_config_bytes(n: int, k: int) -> int:
-    """Resident bytes of the materialized configuration arrays.
+#: The running request's deadline check, called between configuration
+#: blocks; see :func:`block_checks`.  A context variable, so every
+#: chunk thread sees its own request's check and nothing is shared.
+_BLOCK_CHECK: ContextVar[Optional[Callable[[str], None]]] = ContextVar(
+    "repro_block_check", default=None
+)
 
-    The explicit memory estimate :meth:`WeightedKernel.select_path`
-    routes on: what :class:`BatchedWeightedRecursion` holds for an
-    ``(n, k)`` request with ``streaming=False`` — the size-``s``
-    pair-difference arrays (``s <= K-1``) plus the anchor arrays.
-    Exact Python-integer arithmetic, so serving-scale overflows are
-    impossible.
+
+@contextmanager
+def block_checks(check: Optional[Callable[[str], None]]):
+    """Call ``check(where)`` before every configuration block in this context.
+
+    The request pipeline enters it around each chunk with its deadline
+    budget's check, so a Theorem 7 sum that outlives the request raises
+    the check's error at most one block late instead of after the whole
+    ``O(N^K)`` enumeration.  Kernels that never reach
+    :class:`BatchedWeightedRecursion` are unaffected.
     """
-    if n < 2 or k < 1:
-        return 0
-    item = np.dtype(np.intp).itemsize
-    total = 0
-    for s in range(0, max(0, k - 1)):
-        total += math.comb(n - 2, s) * s * item
-    if n - 2 >= k - 1:
-        total += math.comb(n - 2, k - 1) * (k - 1) * item
-    for size in range(0, min(k, n)):
-        total += math.comb(n - 1, size) * size * item
-    return total
+    token = _BLOCK_CHECK.set(check)
+    try:
+        yield
+    finally:
+        _BLOCK_CHECK.reset(token)
 
 
 class BatchedWeightedRecursion:
-    """The vectorized configuration engine behind the Theorem 7 sums.
+    """The configuration engine behind the Theorem 7 sums.
 
-    Precomputes, once per ``(n, k)``: the size-``s`` configuration
-    index arrays (``s <= K-1``) shared by every adjacent pair, and the
-    :func:`pad_weight_table` comb fold.  :meth:`run` then evaluates the
-    eq (74)/(75) recursion for one test point through a *batched*
-    coalition-value oracle — whole blocks of coalitions per call, no
-    per-coalition Python — which is what removes the constant-factor
-    overhead that dominates :func:`weighted_rank_values`.
+    Precomputes, once per ``(n, k)``, the :func:`pad_weight_table` comb
+    fold.  :meth:`run` then evaluates the eq (74)/(75) recursion for
+    one test point through a *batched* coalition-value oracle — whole
+    blocks of coalitions per call, no per-coalition Python — which is
+    what removes the constant-factor overhead that dominates
+    :func:`weighted_rank_values`.  Configurations come from
+    :func:`iter_combination_blocks` in ``block_rows``-sized colex
+    blocks, so resident configuration memory is ``O(block_rows * K)``
+    for any N and K; inside :func:`block_checks` the check runs before
+    every block.
 
     The oracle ``value_many`` receives an ``(M, m)`` integer array of
     1-based ranks, each row sorted ascending (``m`` may be 0 — the
     empty coalition), and returns the ``M`` single-test utilities.
-
-    ``streaming=True`` swaps the materialized configuration arrays for
-    :func:`iter_combination_blocks`: the same colex enumeration, the
-    same ``block_rows``-sized blocks, the same float reductions — so
-    the result is *bit-identical* — but resident configuration memory
-    stays ``O(block_rows * K)`` for any K instead of
-    ``O(C(N-2, K-1) * K)``.  The materialized arrays come from the
-    bounded module cache (:func:`weighted_config_cache_stats`) and are
-    shared across engines of the same ``(n, k)``.
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        block_rows: int = 1 << 15,
-        streaming: bool = False,
-    ) -> None:
+    def __init__(self, n: int, k: int, block_rows: int = 1 << 15) -> None:
         if n < 1:
             raise ParameterError(f"n must be positive, got {n}")
         if k < 1:
@@ -866,56 +773,17 @@ class BatchedWeightedRecursion:
         self.n = int(n)
         self.k = int(k)
         self.block_rows = int(block_rows)
-        self.streaming = bool(streaming)
         if n >= 2:
             self._pad = pad_weight_table(n, k)
-            small_specs = [(n - 2, s) for s in range(0, max(0, k - 1))]
-            big_spec = (n - 2, k - 1) if n - 2 >= k - 1 else None
-            anchor_specs = [(n - 1, size) for size in range(0, min(k, n))]
-            if streaming:
-                self._idx_small = small_specs
-                self._idx_big = big_spec
-                self._idx_anchor = anchor_specs
-            else:
-                self._idx_small = [
-                    _combination_array(*spec) for spec in small_specs
-                ]
-                self._idx_big = (
-                    _combination_array(*big_spec)
-                    if big_spec is not None
-                    else None
-                )
-                self._idx_anchor = [
-                    _combination_array(*spec) for spec in anchor_specs
-                ]
 
     # ------------------------------------------------------------------
-    def _blocks(self, idx):
-        """Blocks of one configuration source (array or streamed spec)."""
-        if self.streaming:
-            n_items, r = idx
-            yield from iter_combination_blocks(n_items, r, self.block_rows)
-            return
-        for start in range(0, idx.shape[0], self.block_rows):
-            yield idx[start : start + self.block_rows]
-
-    def config_bytes(self) -> int:
-        """Resident configuration-index bytes of this engine.
-
-        Streaming engines hold at most one block (plus its assembly
-        scratch) at a time; materialized engines hold every array.
-        """
-        if self.n < 2:
-            return 0
-        item = np.dtype(np.intp).itemsize
-        if self.streaming:
-            width = max(1, self.k - 1, min(self.k, self.n) - 1)
-            return self.block_rows * width * item
-        total = sum(idx.nbytes for idx in self._idx_small)
-        total += sum(idx.nbytes for idx in self._idx_anchor)
-        if self._idx_big is not None:
-            total += self._idx_big.nbytes
-        return total
+    def _blocks(self, n_items: int, r: int):
+        """Size-``r`` configurations of ``n_items``, checked per block."""
+        check = _BLOCK_CHECK.get()
+        for blk in iter_combination_blocks(n_items, r, self.block_rows):
+            if check is not None:
+                check("between configuration blocks")
+            yield blk
 
     @staticmethod
     def _with_member(members: np.ndarray, rank: int) -> np.ndarray:
@@ -932,10 +800,10 @@ class BatchedWeightedRecursion:
 
         # ---- anchor: the farthest point (eq 74) ----------------------
         total = 0.0
-        for size, idx in enumerate(self._idx_anchor):
+        for size in range(0, min(k, n)):
             inv_binom = 1.0 / math.comb(n - 1, size)
             level = 0.0
-            for blk in self._blocks(idx):
+            for blk in self._blocks(n - 1, size):
                 members = blk + 1  # positions 0..n-2 are ranks 1..n-1
                 with_n = np.concatenate(
                     (
@@ -960,10 +828,10 @@ class BatchedWeightedRecursion:
                 )
             )
             acc = 0.0
-            for s, idx in enumerate(self._idx_small):
+            for s in range(0, max(0, k - 1)):
                 inv_binom = 1.0 / math.comb(n - 2, s)
                 level = 0.0
-                for blk in self._blocks(idx):
+                for blk in self._blocks(n - 2, s):
                     members = rest[blk]
                     level += float(
                         (
@@ -972,35 +840,18 @@ class BatchedWeightedRecursion:
                         ).sum()
                     )
                 acc += inv_binom * level
-            if self._idx_big is not None:
-                for blk in self._blocks(self._idx_big):
-                    members = rest[blk]
-                    if k > 1:
-                        rmax = np.maximum(members[:, -1], i + 1)
-                    else:
-                        rmax = np.full(members.shape[0], i + 1, dtype=np.intp)
-                    diff = value_many(
-                        self._with_member(members, i)
-                    ) - value_many(self._with_member(members, i + 1))
-                    acc += float(np.dot(self._pad[rmax], diff))
+            for blk in self._blocks(n - 2, k - 1):
+                members = rest[blk]
+                if k > 1:
+                    rmax = np.maximum(members[:, -1], i + 1)
+                else:
+                    rmax = np.full(members.shape[0], i + 1, dtype=np.intp)
+                diff = value_many(
+                    self._with_member(members, i)
+                ) - value_many(self._with_member(members, i + 1))
+                acc += float(np.dot(self._pad[rmax], diff))
             diffs[i - 1] = acc / (n - 1)
         return chain_values_from_differences(anchor, diffs)
-
-
-def weighted_rank_values_batched(
-    value_many, n: int, k: int, block_rows: int = 1 << 15
-) -> np.ndarray:
-    """One-shot form of :class:`BatchedWeightedRecursion`.
-
-    ``value_many`` maps an ``(M, m)`` array of sorted 1-based rank rows
-    to the ``M`` coalition utilities; see the class for the contract.
-    Prefer constructing the class once when valuing several test points
-    of the same ``(n, k)`` — the configuration enumeration and pad
-    table are the reusable part.
-    """
-    return BatchedWeightedRecursion(n, k, block_rows=block_rows).run(
-        value_many
-    )
 
 
 # ======================================================================
@@ -1355,21 +1206,11 @@ class RegressionKernel(ValuationKernel):
         return plan.scatter(s_rank)
 
 
-#: Default byte budget for the *materialized* weighted configuration
-#: arrays.  ``select_path(mode="auto")`` estimates the resident bytes
-#: of the vectorized path (:func:`materialized_config_bytes`) and
-#: switches to the streaming engine past the budget; an explicit
-#: ``mode="vectorized"`` past it raises
-#: :class:`~repro.exceptions.MemoryBudgetError` instead of silently
-#: going memory-bound.
-WEIGHTED_MATERIALIZED_BUDGET_BYTES = 256 << 20
-
-
 class WeightedKernel(ValuationKernel):
     """Theorem 7: exact values for weighted KNN (classification and
     regression, eqs 26/27).
 
-    Five execution paths (:meth:`select_path` maps a requested ``mode``
+    Four execution paths (:meth:`select_path` maps a requested ``mode``
     and the weight function's capabilities to one of them):
 
     * ``reference`` — the eq (74)/(75) recursion through a
@@ -1377,16 +1218,12 @@ class WeightedKernel(ValuationKernel):
       utility evaluations, bit-identical to
       :func:`repro.core.weighted.exact_weighted_knn_shapley`.
     * ``vectorized`` — the same sums through
-      :class:`BatchedWeightedRecursion`: configurations materialized
-      as integer arrays, utilities evaluated for whole blocks per
-      numpy pass, pad weights folded via :func:`pad_weight_table`.
-      Equal to the reference within accumulated rounding (<= 1e-12),
-      roughly an order of magnitude faster on one CPU.
-    * ``streaming`` — the vectorized sums fed by
-      :func:`iter_combination_blocks` instead of materialized arrays:
-      *bit-identical* to ``vectorized`` (same colex enumeration, same
-      block boundaries) at a fixed ``O(block_rows * K)`` configuration
-      memory for any K.
+      :class:`BatchedWeightedRecursion`: configurations in fixed-size
+      colex blocks (``O(block_rows * K)`` memory for any K), utilities
+      evaluated for whole blocks per numpy pass, pad weights folded
+      via :func:`pad_weight_table`.  Equal to the reference within
+      accumulated rounding (<= 1e-12), roughly an order of magnitude
+      faster on one CPU.
     * ``piecewise`` — rank-only weight functions, both tasks: the
       Appendix-F counting closed forms
       (:func:`weighted_rank_only_values` for classification,
@@ -1408,9 +1245,9 @@ class WeightedKernel(ValuationKernel):
     )
 
     #: valid ``mode`` arguments
-    MODES = ("auto", "reference", "vectorized", "streaming", "piecewise")
+    MODES = ("auto", "reference", "vectorized", "piecewise")
     #: execution paths :meth:`select_path` can return
-    PATHS = ("k1", "piecewise", "vectorized", "streaming", "reference")
+    PATHS = ("k1", "piecewise", "vectorized", "reference")
 
     def select_path(
         self,
@@ -1418,8 +1255,6 @@ class WeightedKernel(ValuationKernel):
         weights: Union[str, WeightFunction] = "inverse_distance",
         task: str = "classification",
         mode: str = "auto",
-        n_train: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> str:
         """Resolve the execution path for a request — no work done.
 
@@ -1427,22 +1262,11 @@ class WeightedKernel(ValuationKernel):
         ``k1`` when ``k == 1`` with a named built-in weight function,
         else ``piecewise`` when the weight function is rank-only
         (:func:`repro.knn.weights.is_rank_only`) — classification and
-        regression alike — else the configuration engine, materialized
-        (``vectorized``) when its estimated resident bytes
-        (:func:`materialized_config_bytes`, needs ``n_train``) fit the
-        memory budget and ``streaming`` otherwise.
-
-        Explicit modes force their path.  ``mode="piecewise"`` with a
-        weight function that does not declare the ``rank_only``
-        capability raises
-        :class:`~repro.exceptions.KernelCapabilityError`;
-        ``mode="vectorized"`` past the budget raises
-        :class:`~repro.exceptions.MemoryBudgetError` (switch to
-        ``streaming`` or raise the budget).
-
-        The engine calls this to surface the chosen path in
-        ``ValuationResult.extra["weighted_path"]`` and its ``stats()``
-        counters.
+        regression alike — else the ``vectorized`` configuration
+        engine.  Explicit modes force their path; ``mode="piecewise"``
+        with a weight function that does not declare the
+        ``rank_only`` capability raises
+        :class:`~repro.exceptions.KernelCapabilityError`.
         """
         if task not in ("classification", "regression"):
             raise ParameterError(
@@ -1452,29 +1276,9 @@ class WeightedKernel(ValuationKernel):
             raise ParameterError(
                 f"mode must be one of {self.MODES}, got {mode!r}"
             )
-        budget = (
-            WEIGHTED_MATERIALIZED_BUDGET_BYTES
-            if memory_budget_bytes is None
-            else int(memory_budget_bytes)
-        )
         rank_only = is_rank_only(weights)
-        if mode == "reference":
-            return "reference"
-        if mode == "streaming":
-            return "streaming"
-        if mode == "vectorized":
-            if n_train is not None:
-                estimate = materialized_config_bytes(n_train, k)
-                if estimate > budget:
-                    raise MemoryBudgetError(
-                        f"materialized weighted configurations for "
-                        f"n={n_train}, k={k} need ~{estimate} bytes, over "
-                        f"the {budget}-byte budget; use mode='streaming' "
-                        "(bit-identical, fixed memory) or raise the budget",
-                        estimated_bytes=int(min(estimate, 1 << 62)),
-                        budget_bytes=budget,
-                    )
-            return "vectorized"
+        if mode in ("reference", "vectorized"):
+            return mode
         if mode == "piecewise":
             if not rank_only:
                 name = weights if isinstance(weights, str) else getattr(
@@ -1485,7 +1289,7 @@ class WeightedKernel(ValuationKernel):
                     f"weight-function capability; {name!r} does not declare "
                     "it (mark custom callables with fn.rank_only = True "
                     "when their output ignores distance values, or use "
-                    "mode='vectorized'/'streaming')",
+                    "mode='vectorized')",
                     capability="rank_only",
                 )
             return "piecewise"
@@ -1496,11 +1300,6 @@ class WeightedKernel(ValuationKernel):
             return "k1"
         if rank_only:
             return "piecewise"
-        if (
-            n_train is not None
-            and materialized_config_bytes(n_train, k) > budget
-        ):
-            return "streaming"
         return "vectorized"
 
     def values_from_plan(
@@ -1510,7 +1309,6 @@ class WeightedKernel(ValuationKernel):
         weights: Union[str, WeightFunction] = "inverse_distance",
         task: str = "classification",
         mode: str = "auto",
-        memory_budget_bytes: Optional[int] = None,
         block_rows: Optional[int] = None,
     ) -> np.ndarray:
         """Weighted values from a full ranking with distances.
@@ -1525,27 +1323,15 @@ class WeightedKernel(ValuationKernel):
         mode:
             ``"auto"`` (default) picks the cheapest exact-equivalent
             path per :meth:`select_path`; ``"piecewise"`` /
-            ``"vectorized"`` / ``"streaming"`` / ``"reference"`` force
-            a path.
-        memory_budget_bytes:
-            Budget for the materialized configuration arrays
-            (:data:`WEIGHTED_MATERIALIZED_BUDGET_BYTES` by default);
-            see :meth:`select_path`.
+            ``"vectorized"`` / ``"reference"`` force a path.
         block_rows:
-            Rows per configuration block of the vectorized/streaming
-            engine (default ``2**15``).  Streaming memory is
+            Rows per configuration block of the vectorized engine
+            (default ``2**15``); its configuration memory is
             ``O(block_rows * K)``.
         """
         k = self._check_k(k)
         self._require_full_ranking(plan)
-        path = self.select_path(
-            k,
-            weights,
-            task,
-            mode,
-            n_train=plan.n_train,
-            memory_budget_bytes=memory_budget_bytes,
-        )
+        path = self.select_path(k, weights, task, mode)
         if callable(weights):
             weight_fn: WeightFunction = weights
         else:
@@ -1554,15 +1340,8 @@ class WeightedKernel(ValuationKernel):
             return self._k1_fast_path(plan, task)
         if path == "piecewise":
             return self._piecewise_path(plan, k, weight_fn, task)
-        if path in ("vectorized", "streaming"):
-            return self._vectorized_path(
-                plan,
-                k,
-                weight_fn,
-                task,
-                streaming=path == "streaming",
-                block_rows=block_rows,
-            )
+        if path == "vectorized":
+            return self._vectorized_path(plan, k, weight_fn, task, block_rows)
         return self._reference_path(plan, k, weight_fn, task)
 
     # ------------------------------------------------------------------
@@ -1599,7 +1378,6 @@ class WeightedKernel(ValuationKernel):
         k: int,
         weight_fn: WeightFunction,
         task: str,
-        streaming: bool = False,
         block_rows: Optional[int] = None,
     ) -> np.ndarray:
         if plan.distances_sorted is None:
@@ -1613,7 +1391,6 @@ class WeightedKernel(ValuationKernel):
             n,
             k,
             block_rows=block_rows if block_rows is not None else 1 << 15,
-            streaming=streaming,
         )
         s_rank = np.empty((q, n), dtype=np.float64)
         for j in range(q):

@@ -31,6 +31,7 @@ from ..types import (
     as_float_matrix,
     as_label_vector,
     as_new_points,
+    as_removal_indices,
 )
 from .kernels import RankPlan, get_kernel, truncation_rank
 
@@ -194,7 +195,7 @@ class StreamingKNNShapley:
         surviving points keep theirs, so :meth:`values` keeps averaging
         over every query consumed so far.
         """
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+        idx = as_removal_indices(idx)
         if idx.size == 0:
             return
         # the backend validates range/uniqueness/non-emptiness against

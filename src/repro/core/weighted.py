@@ -47,12 +47,7 @@ from ..utility.weighted_utility import (
     WeightedKNNClassificationUtility,
     WeightedKNNRegressionUtility,
 )
-from .kernels import (
-    RankPlan,
-    get_kernel,
-    weighted_rank_values,
-    weighted_rank_values_batched,
-)
+from .kernels import RankPlan, get_kernel, weighted_rank_values
 
 __all__ = ["exact_weighted_knn_shapley", "weighted_shapley_single_test"]
 
@@ -62,47 +57,29 @@ WeightedUtility = Union[
 
 
 def weighted_shapley_single_test(
-    utility: WeightedUtility, test_index: int, mode: str = "reference"
+    utility: WeightedUtility, test_index: int
 ) -> np.ndarray:
-    """Theorem 7 for one test point.
+    """Theorem 7 for one test point, through the audited recursion.
 
-    Returns the Shapley values in original training-index order.
-
-    ``mode="reference"`` (default) drives the audited per-coalition
-    recursion through :meth:`per_test_value`;  ``mode="vectorized"``
-    drives the batched configuration engine
-    (:func:`repro.core.kernels.weighted_rank_values_batched`) through
-    the utility object's :meth:`per_test_value_many` — same sums,
-    whole blocks of coalitions per numpy pass, equal within
-    accumulated rounding (<= 1e-12).
+    Returns the Shapley values in original training-index order,
+    driving the per-coalition eq (74)/(75) recursion through
+    :meth:`per_test_value`.  The batched configuration engine is the
+    ``weighted`` kernel's ``vectorized`` path
+    (:func:`exact_weighted_knn_shapley` with ``mode="vectorized"``).
 
     Complexity: ``O(C(N-2, K-1) * N)`` utility evaluations — exponential
     in K but polynomial in N, matching the paper's ``O(N^K)``.
     """
-    if mode not in ("reference", "vectorized"):
-        raise ParameterError(
-            f"mode must be 'reference' or 'vectorized', got {mode!r}"
-        )
     n = utility.n_players
     k = utility.k
     order = utility.order[test_index]  # rank -> original index
 
-    if mode == "vectorized":
+    def v(rank_members: tuple[int, ...]) -> float:
+        """Utility of a coalition given by sorted 1-based ranks."""
+        members = order[np.asarray(rank_members, dtype=np.intp) - 1]
+        return utility.per_test_value(np.sort(members), test_index)
 
-        def v_many(ranks: np.ndarray) -> np.ndarray:
-            """Utilities of same-size coalitions of sorted 1-based ranks."""
-            members = order[np.asarray(ranks, dtype=np.intp) - 1]
-            return utility.per_test_value_many(members, test_index)
-
-        s_rank = weighted_rank_values_batched(v_many, n, k)
-    else:
-
-        def v(rank_members: tuple[int, ...]) -> float:
-            """Utility of a coalition given by sorted 1-based ranks."""
-            members = order[np.asarray(rank_members, dtype=np.intp) - 1]
-            return utility.per_test_value(np.sort(members), test_index)
-
-        s_rank = weighted_rank_values(v, n, k)
+    s_rank = weighted_rank_values(v, n, k)
     values = np.empty(n, dtype=np.float64)
     values[order] = s_rank
     return values
@@ -135,9 +112,9 @@ def exact_weighted_knn_shapley(
     mode:
         ``"reference"`` (default — this function is the audited
         baseline the fast paths are tested against) runs the historical
-        per-coalition recursion; ``"auto"``, ``"piecewise"``,
-        ``"vectorized"`` and ``"streaming"`` dispatch through the
-        ``weighted`` kernel's fast paths
+        per-coalition recursion; ``"auto"``, ``"piecewise"`` and
+        ``"vectorized"`` dispatch through the ``weighted`` kernel's
+        fast paths
         (:meth:`repro.core.kernels.WeightedKernel.select_path`).
 
     Returns
@@ -179,7 +156,7 @@ def exact_weighted_knn_shapley(
             distances=utility.sorted_distances,
         )
         extra["weighted_path"] = kernel.select_path(
-            k, weights, task=task, mode=mode, n_train=dataset.n_train
+            k, weights, task=task, mode=mode
         )
         per_test = kernel.values_from_plan(
             plan, k, weights=weights, task=task, mode=mode

@@ -47,6 +47,7 @@ from ..knn.distance import get_metric
 from ..knn.search import stable_argsort_rows, stable_sort_rows, top_k
 from ..rng import SeedLike
 from ..stats import component_stats
+from ..types import as_removal_indices
 
 __all__ = [
     "NeighborBackend",
@@ -162,7 +163,7 @@ class NeighborBackend(ABC):
         the indexing *before* the call.
         """
         data = self._require_fitted()
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+        idx = as_removal_indices(idx)
         if idx.size == 0:
             return
         n = data.shape[0]

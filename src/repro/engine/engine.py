@@ -34,7 +34,7 @@ merging for free:
   picks the kernel's execution path per request (``mode="auto"``: the
   O(N) K=1 collapse, the O(N·poly(K)) piecewise counting/moment paths
   for rank-only weights on either task, or the batched configuration
-  engine — materialized within its memory budget, streaming past it);
+  engine, which enumerates in fixed-size blocks);
   the chosen path is surfaced in
   ``ValuationResult.extra["weighted_path"]`` and counted in
   :meth:`ValuationEngine.stats`.
@@ -53,7 +53,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.kernels import weighted_config_cache_stats
 from ..exceptions import ParameterError
 from ..knn.distance import get_metric
 from ..monitor.tracing import NOOP_TRACER
@@ -64,6 +63,7 @@ from ..types import (
     as_float_matrix,
     as_label_vector,
     as_new_points,
+    as_removal_indices,
 )
 from .backends import LSHNeighborBackend, NeighborBackend, make_backend, usable_cores
 from .cache import RankCache, array_fingerprint
@@ -314,11 +314,7 @@ class ValuationEngine:
 
         The cache's and backend's own snapshots ride along under
         ``"cache"`` / ``"backend"`` so one call captures the engine
-        stack; each nested dict follows the same schema.  The shared
-        weighted configuration-array cache
-        (:func:`repro.core.kernels.weighted_config_cache_stats`) rides
-        along under ``"weighted_config_cache"`` — it is process-wide,
-        repeated here so one engine snapshot captures it.
+        stack; each nested dict follows the same schema.
         """
         with self._ops_lock:
             counters = dict(self._ops)
@@ -334,7 +330,6 @@ class ValuationEngine:
             },
             cache=self.cache.stats() if self.cache is not None else None,
             backend=self.backend.stats(),
-            weighted_config_cache=weighted_config_cache_stats(),
         )
 
     def run_exclusive(self, fn):
@@ -401,18 +396,20 @@ class ValuationEngine:
         mode:
             Execution-path selector for ``method="weighted"``
             (``"auto"`` | ``"piecewise"`` | ``"vectorized"`` |
-            ``"streaming"`` | ``"reference"``, resolved once per
+            ``"reference"``, resolved once per
             request by :func:`repro.engine.plan.plan_request`);
             ignored by the other methods.  The resolved path lands in
             ``extra["weighted_path"]`` and the engine's path counters.
         deadline_s:
             Optional compute budget in seconds, measured from request
-            entry.  Checked before every chunk and once after the
-            last: when the budget is spent the request raises
+            entry.  Checked before every chunk, between the
+            configuration blocks of ``method="weighted"``'s
+            ``vectorized`` path, and once after the last chunk: when
+            the budget is spent the request raises
             :class:`~repro.exceptions.DeadlineExceededError` instead
-            of starting more work or returning a late answer (a
-            running chunk is never aborted mid-kernel, so the raise
-            comes at most one chunk late).
+            of starting more work or returning a late answer (other
+            kernels are never aborted mid-chunk, so their raise comes
+            at most one chunk late).
         delta:
             Failure probability for the ``method="mc"`` certificate;
             ignored by the other methods.
@@ -626,7 +623,7 @@ class ValuationEngine:
 
     def remove_points(self, idx) -> None:
         """Delete training points by index (``numpy.delete`` semantics)."""
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+        idx = as_removal_indices(idx)
         if idx.size == 0:
             return
         with self._state_lock.write():

@@ -59,6 +59,7 @@ from ..types import (
     as_float_matrix,
     as_label_vector,
     as_new_points,
+    as_removal_indices,
 )
 from .backends import NeighborBackend, make_backend
 
@@ -271,7 +272,7 @@ class IncrementalValuator:
         ``np.delete(x_train, idx, axis=0)`` would.
         """
         start = time.perf_counter()
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+        idx = as_removal_indices(idx)
         if idx.size == 0:
             return
         # validate up front even though backend.forget re-checks: the

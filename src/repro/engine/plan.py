@@ -30,6 +30,7 @@ from ..core.kernels import (
     RankPlan,
     ValuationKernel,
     available_kernels,
+    block_checks,
     get_kernel,
 )
 from ..core.mcserve import mc_values_from_distances
@@ -245,8 +246,10 @@ class RequestPlan:
         ``fetch(start, stop, at)`` returns one chunk's retrieval and
         the indices of ``y_train`` it covers (``None``: all).  Chunks
         run on up to ``workers`` threads and merge in span order; the
-        deadline is checked before each chunk and once more after the
-        merge, so an answer finished late is never returned as on
+        deadline is checked before each chunk, between the
+        configuration blocks of a Theorem 7 sum
+        (:func:`~repro.core.kernels.block_checks`) and once more after
+        the merge, so an answer finished late is never returned as on
         time, and Monte Carlo chunk
         ``i`` samples from child stream ``i`` of ``seed``, so results
         do not depend on scheduling.  Uncovered columns are 0.
@@ -266,7 +269,7 @@ class RequestPlan:
             with (
                 tracer.span(chunk_span, parent=parent, start=s, stop=e)
                 if chunk_span else nullcontext(parent)
-            ) as at:
+            ) as at, block_checks(None if budget is None else budget.check):
                 retrieved, positions = fetch(s, e, at)
                 cols = slice(None) if positions is None else positions
                 rng = None if streams is None else np.random.default_rng(streams[no])
@@ -319,7 +322,7 @@ def plan_request(
 
     The keywords mean what they mean for
     :meth:`repro.engine.engine.ValuationEngine.value`; ``n_train``
-    sizes the weighted path choice and the Monte Carlo budget.
+    sizes the Monte Carlo budget.
 
     Raises:
         ParameterError: On an unknown method, a capability violation
@@ -387,9 +390,7 @@ def plan_request(
         path = None
         if hasattr(kernel, "select_path"):
             # deterministic, so every chunk and every shard takes it
-            path = kernel.select_path(
-                k, weights, task=task, mode=mode, n_train=n_train
-            )
+            path = kernel.select_path(k, weights, task=task, mode=mode)
         extra.update(params, weighted_path=path)
     if method == "exact":
         out_method = "exact" if task == "classification" else "exact-regression"

@@ -44,7 +44,7 @@ from ..exceptions import (
 from ..monitor.telemetry import Histogram
 from ..monitor.tracing import NOOP_TRACER, TraceContext
 from ..stats import component_stats
-from ..types import ValuationResult
+from ..types import ValuationResult, as_removal_indices
 from .engine import ValuationEngine
 
 __all__ = [
@@ -130,7 +130,8 @@ class MutationRequest:
     x, y:
         Points and labels to append.
     idx:
-        Training indices to delete.
+        Training indices to delete, validated on construction
+        (:func:`~repro.types.as_removal_indices`).
     tag:
         Free-form client identifier echoed in job stats.
     trace:
@@ -153,8 +154,10 @@ class MutationRequest:
             )
         if self.kind == "add" and (self.x is None or self.y is None):
             raise ParameterError("an 'add' mutation requires x and y")
-        if self.kind == "remove" and self.idx is None:
-            raise ParameterError("a 'remove' mutation requires idx")
+        if self.kind == "remove":
+            if self.idx is None:
+                raise ParameterError("a 'remove' mutation requires idx")
+            object.__setattr__(self, "idx", as_removal_indices(self.idx))
 
 
 @dataclass(frozen=True)
@@ -495,7 +498,7 @@ class ValuationService:
         if req.kind == "add":
             indices = self.engine.add_points(req.x, req.y)
         else:
-            indices = np.atleast_1d(np.asarray(req.idx, dtype=np.intp))
+            indices = req.idx
             self.engine.remove_points(indices)
         return MutationResult(
             kind=req.kind, indices=indices, n_train=self.engine.n_train
@@ -607,7 +610,8 @@ class ValuationService:
             is the new training-set size.
 
         Raises:
-            ParameterError: When the service is shut down.
+            ParameterError: When the service is shut down, or at once
+                when ``idx`` holds boolean or non-integer indices.
         """
         return self.submit(MutationRequest(kind="remove", idx=idx, tag=tag))
 

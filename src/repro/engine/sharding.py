@@ -61,6 +61,7 @@ from ..types import (
     as_float_matrix,
     as_label_vector,
     as_new_points,
+    as_removal_indices,
 )
 from .engine import ValuationEngine, _RWLock, chunk_spans
 from .plan import RequestPlan, _Budget, as_query_batch, plan_request
@@ -933,7 +934,7 @@ class ShardRouter:
                 when a shard would be emptied (each shard engine
                 must keep at least one point).
         """
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+        idx = as_removal_indices(idx)
         if idx.size == 0:
             return
         with self._lock.write():

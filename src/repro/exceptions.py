@@ -14,7 +14,6 @@ __all__ = [
     "DataValidationError",
     "ParameterError",
     "KernelCapabilityError",
-    "MemoryBudgetError",
     "NotFittedError",
     "ConvergenceError",
     "UtilityError",
@@ -60,30 +59,6 @@ class KernelCapabilityError(ParameterError):
         super().__init__(message)
         #: name of the missing capability flag (e.g. ``"rank_only"``)
         self.capability = capability
-
-
-class MemoryBudgetError(ReproError, RuntimeError):
-    """Raised when a materialized execution path would exceed its
-    configured memory budget.
-
-    The weighted kernel's ``vectorized`` path materializes every
-    size-(K-1) configuration row; when the estimate passes the budget
-    the request must either switch to ``mode="streaming"`` (fixed-size
-    configuration blocks, same sums bit-for-bit) or raise the budget.
-    Carries both sides of the comparison in bytes.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        estimated_bytes: int | None = None,
-        budget_bytes: int | None = None,
-    ) -> None:
-        super().__init__(message)
-        #: estimated resident bytes of the materialized configurations
-        self.estimated_bytes = estimated_bytes
-        #: configured budget in bytes
-        self.budget_bytes = budget_bytes
 
 
 class NotFittedError(ReproError, RuntimeError):

@@ -1,32 +1,16 @@
-"""The weighted frontier: regression piecewise + streaming engine.
+"""The weighted frontier: the regression piecewise path.
 
-PR 5 left two gaps in the weighted fast-path stack (Section 4 /
-Appendix F): the regression utility (eq 27) always fell through to the
-configuration engine — the piecewise counting path was
-classification-only — and the configuration engine materialized every
-size-(K-1) configuration row, so its memory grew as O(C(N-2, K-1)·K).
-
-:func:`weighted_frontier` measures both closures:
-
-* **regression piecewise** — the O(N·poly(K)) label-moment path for
-  rank-only weights on the regression game, against the configuration
-  engine at the same serving-scale N (the gated
-  ``weighted_regression_piecewise_speedup``);
-* **streaming** — the fixed-memory block-streamed configuration
-  engine, bit-identical to the materialized engine by construction
-  (same colex order, same block boundaries), at a fraction of the
-  resident configuration bytes (the gated, fully deterministic
-  ``weighted_streaming_memory_ratio``).
+The regression utility (eq 27) with rank-only weights once always fell
+through to the O(N^K) configuration engine — the piecewise counting
+path was classification-only.  :func:`weighted_frontier` measures the
+closure: the O(N·poly(K)) label-moment path against the configuration
+engine at the same serving-scale N (the gated
+``weighted_regression_piecewise_speedup``).
 """
 
 from __future__ import annotations
 
-from ..core.kernels import (
-    BatchedWeightedRecursion,
-    RankPlan,
-    get_kernel,
-    materialized_config_bytes,
-)
+from ..core.kernels import RankPlan, get_kernel
 from ..datasets.synthetic import regression_dataset
 from ..knn.search import argsort_by_distance
 from ..metrics.errors import max_abs_error
@@ -40,41 +24,25 @@ __all__ = ["weighted_frontier"]
 def weighted_frontier(
     n_regression: int = 2000,
     regression_k: int = 2,
-    n_stream: int = 200,
-    stream_k: int = 3,
-    stream_block_rows: int = 1 << 11,
     n_test: int = 2,
     n_features: int = 32,
     rank_only_weights: str = "rank",
-    distance_weights: str = "gaussian",
     repeat: int = 1,
     fast_repeat: int = 3,
     seed: SeedLike = 0,
 ) -> ExperimentResult:
-    """Regression piecewise and streaming engine vs the materialized one.
+    """Regression piecewise path vs the configuration engine.
 
-    Two timed comparisons over prebuilt :class:`RankPlan` s (ranking
+    One timed comparison over a prebuilt :class:`RankPlan` (ranking
     cost excluded — the paths differ only in how they evaluate the
-    Theorem 7 sums):
-
-    * at ``n_regression`` / ``regression_k`` with rank-only weights on
-      the **regression** task: the configuration engine (the only
-      prior exact path for this combination) vs the new piecewise
-      label-moment path — ``regression_speedup`` is the gated ratio,
-      expected >= 100x, and ``regression_max_err`` the hard 1e-12 bar;
-    * at ``n_stream`` / ``stream_k`` with distance-based weights: the
-      materialized configuration engine vs the streaming one at
-      ``stream_block_rows`` rows per block — ``streaming_max_err``
-      must be exactly 0.0 (bit-identity), ``streaming_memory_ratio``
-      is the deterministic resident-bytes quotient
-      (:func:`materialized_config_bytes` over the streaming engine's
-      :meth:`~repro.core.kernels.BatchedWeightedRecursion.config_bytes`),
-      and ``streaming_overhead`` records the wall-clock price of the
-      fixed-memory guarantee (informational, not gated).
+    Theorem 7 sums): at ``n_regression`` / ``regression_k`` with
+    rank-only weights on the **regression** task, the configuration
+    engine (the only prior exact path for this combination) vs the
+    piecewise label-moment path — ``regression_speedup`` is the gated
+    ratio, expected >= 100x, and ``regression_max_err`` the hard 1e-12
+    bar.
     """
     kernel = get_kernel("weighted")
-
-    # ---- regression piecewise vs the configuration engine -----------
     data = regression_dataset(
         n_train=n_regression, n_test=n_test, n_features=n_features, seed=seed
     )
@@ -105,44 +73,6 @@ def weighted_frontier(
     )
     regression_max_err = max_abs_error(piecewise.value, engine.value)
 
-    # ---- streaming vs materialized configuration engine -------------
-    sdata = regression_dataset(
-        n_train=n_stream, n_test=n_test, n_features=n_features, seed=seed
-    )
-    sorder, sdist = argsort_by_distance(sdata.x_test, sdata.x_train)
-    splan = RankPlan.from_order(
-        sorder, sdata.y_train, sdata.y_test, distances=sdist
-    )
-    materialized = time_call(
-        lambda: kernel.values_from_plan(
-            splan,
-            stream_k,
-            weights=distance_weights,
-            task="regression",
-            mode="vectorized",
-            block_rows=stream_block_rows,
-        ),
-        repeat=repeat,
-    )
-    streaming = time_call(
-        lambda: kernel.values_from_plan(
-            splan,
-            stream_k,
-            weights=distance_weights,
-            task="regression",
-            mode="streaming",
-            block_rows=stream_block_rows,
-        ),
-        repeat=repeat,
-    )
-    streaming_max_err = max_abs_error(streaming.value, materialized.value)
-    stream_bytes = BatchedWeightedRecursion(
-        n_stream, stream_k, block_rows=stream_block_rows, streaming=True
-    ).config_bytes()
-    memory_ratio = materialized_config_bytes(n_stream, stream_k) / max(
-        stream_bytes, 1
-    )
-
     rows = [
         {
             "n_regression": n_regression,
@@ -152,21 +82,13 @@ def weighted_frontier(
             "regression_speedup": engine.seconds
             / max(piecewise.seconds, 1e-12),
             "regression_max_err": regression_max_err,
-            "n_stream": n_stream,
-            "stream_k": stream_k,
-            "materialized_s": materialized.seconds,
-            "streaming_s": streaming.seconds,
-            "streaming_overhead": streaming.seconds
-            / max(materialized.seconds, 1e-12),
-            "streaming_memory_ratio": memory_ratio,
-            "streaming_max_err": streaming_max_err,
         }
     ]
     return ExperimentResult(
         experiment_id="weighted-frontier",
         title=(
-            "Weighted frontier: O(N·poly(K)) regression piecewise and "
-            "the fixed-memory streaming configuration engine"
+            "Weighted frontier: O(N·poly(K)) regression piecewise vs "
+            "the configuration engine"
         ),
         columns=(
             "n_regression",
@@ -175,13 +97,6 @@ def weighted_frontier(
             "piecewise_s",
             "regression_speedup",
             "regression_max_err",
-            "n_stream",
-            "stream_k",
-            "materialized_s",
-            "streaming_s",
-            "streaming_overhead",
-            "streaming_memory_ratio",
-            "streaming_max_err",
         ),
         rows=rows,
         paper_claim=(
@@ -192,14 +107,10 @@ def weighted_frontier(
         observed=(
             "rank-only regression takes the closed-form label-moment "
             "piecewise path, >= 100x over the configuration engine at "
-            "serving-scale N and within 1e-12; the streaming engine "
-            "reproduces the materialized sums bit-for-bit at a fixed "
-            "O(block_rows*K) configuration residency"
+            "serving-scale N and within 1e-12"
         ),
         metadata={
             "rank_only_weights": rank_only_weights,
-            "distance_weights": distance_weights,
-            "stream_block_rows": stream_block_rows,
             "n_test": n_test,
             "n_features": n_features,
             "seed": seed,

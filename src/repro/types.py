@@ -51,6 +51,7 @@ __all__ = [
     "as_float_matrix",
     "as_label_vector",
     "as_new_points",
+    "as_removal_indices",
     "as_value_matrix",
 ]
 
@@ -128,6 +129,37 @@ def as_new_points(
             f"new points have {x_arr.shape[1]} features, expected {n_features}"
         )
     return x_arr, y_arr
+
+
+def as_removal_indices(idx: Any) -> np.ndarray:
+    """Coerce one removal batch: indices of points leaving a training set.
+
+    The shared front door of every dynamic-dataset ``remove_points``
+    (backend, engine, router, service, incremental valuator, streaming
+    accumulator).  A scalar is one index.  Like ``numpy.delete``, a
+    float index is an error rather than a truncation; a boolean array,
+    which ``numpy.delete`` reads as a mask, is refused rather than read
+    as the indices 0 and 1.  An empty batch of any dtype is allowed.
+
+    Returns a 1-D ``intp`` vector; range and uniqueness are the
+    caller's to check against its own training-set size.
+
+    Raises:
+        ParameterError: If the indices are boolean or not integers.
+    """
+    arr = np.atleast_1d(np.asarray(idx))
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if arr.dtype == np.bool_:
+        raise ParameterError(
+            "removal indices must be integers, got a boolean array "
+            "(pass np.flatnonzero(mask) to remove by mask)"
+        )
+    if arr.dtype.kind not in "iu":
+        raise ParameterError(
+            f"removal indices must be integers, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.intp, copy=False)
 
 
 def as_value_matrix(values: Any, name: str = "values") -> np.ndarray:

@@ -22,11 +22,7 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from ..knn.search import argsort_by_distance
-from ..knn.weights import (
-    WeightFunction,
-    apply_weights_batched,
-    get_weight_function,
-)
+from ..knn.weights import WeightFunction, get_weight_function
 from ..types import Dataset
 from .base import UtilityFunction
 
@@ -95,46 +91,6 @@ class _WeightedKNNUtilityBase(UtilityFunction):
         """Single-test-point utility (used by the exact weighted SV)."""
         return self._per_test(np.asarray(members, dtype=np.intp), test_index)
 
-    # ------------------------------------------------------------------
-    # batched evaluation (the vectorized configuration engine)
-    def _topk_for_test_many(
-        self, members: np.ndarray, test_index: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise :meth:`_topk_for_test` over an ``(M, m)`` block."""
-        kk = min(self.k, members.shape[1])
-        ranks = self._inv_order[test_index, members]
-        sel = np.argsort(ranks, axis=1, kind="stable")[:, :kk]
-        nearest = np.take_along_axis(members, sel, axis=1)
-        return nearest, self._dist[test_index, nearest]
-
-    def _per_test_many(
-        self, members: np.ndarray, test_index: int
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def per_test_value_many(
-        self, members_matrix: np.ndarray, test_index: int
-    ) -> np.ndarray:
-        """Single-test utilities for a whole block of coalitions.
-
-        ``members_matrix`` is an ``(M, m)`` integer array — ``M``
-        equal-size coalitions of training indices (``m`` may be 0: the
-        empty coalition).  One numpy pass ranks every row, selects the
-        per-row top-``min(K, m)`` neighbors, and applies the weight
-        function batched (:func:`repro.knn.weights.apply_weights_batched`)
-        — elementwise equal to calling :meth:`per_test_value` per row,
-        without the per-coalition Python overhead.  This is the oracle
-        the vectorized Theorem 7 configuration engine
-        (:class:`repro.core.kernels.BatchedWeightedRecursion`) drives.
-        """
-        members = np.asarray(members_matrix, dtype=np.intp)
-        if members.ndim != 2:
-            raise ParameterError(
-                f"members_matrix must be 2-D (M coalitions x m members), "
-                f"got shape {members.shape}"
-            )
-        return self._per_test_many(members, test_index)
-
 
 class WeightedKNNClassificationUtility(_WeightedKNNUtilityBase):
     """Weighted KNN classification utility (eq 26)."""
@@ -148,18 +104,6 @@ class WeightedKNNClassificationUtility(_WeightedKNNUtilityBase):
             self.dataset.y_train[nearest] == self.dataset.y_test[test_index]
         ).astype(np.float64)
         return float(np.dot(w, match))
-
-    def _per_test_many(
-        self, members: np.ndarray, test_index: int
-    ) -> np.ndarray:
-        if members.shape[1] == 0:
-            return np.zeros(members.shape[0], dtype=np.float64)
-        nearest, dists = self._topk_for_test_many(members, test_index)
-        w = apply_weights_batched(self.weight_fn, dists)
-        match = (
-            self.dataset.y_train[nearest] == self.dataset.y_test[test_index]
-        ).astype(np.float64)
-        return (w * match).sum(axis=1)
 
     def value_bounds(self) -> tuple[float, float]:
         """Normalized weights keep the utility inside ``[0, 1]``."""
@@ -180,18 +124,6 @@ class WeightedKNNRegressionUtility(_WeightedKNNUtilityBase):
         nearest, dists = self._topk_for_test(members, test_index)
         w = self.weight_fn(dists)
         pred = float(np.dot(w, np.asarray(self.dataset.y_train, dtype=np.float64)[nearest]))
-        return -((pred - t) ** 2)
-
-    def _per_test_many(
-        self, members: np.ndarray, test_index: int
-    ) -> np.ndarray:
-        t = float(self.dataset.y_test[test_index])
-        if members.shape[1] == 0:
-            return np.full(members.shape[0], -(t**2))
-        nearest, dists = self._topk_for_test_many(members, test_index)
-        w = apply_weights_batched(self.weight_fn, dists)
-        y = np.asarray(self.dataset.y_train, dtype=np.float64)[nearest]
-        pred = (w * y).sum(axis=1)
         return -((pred - t) ** 2)
 
     def value_bounds(self) -> tuple[float, float]:

@@ -1,31 +1,30 @@
-"""Tests for the weighted frontier: regression piecewise + streaming.
+"""Tests for the weighted frontier: regression piecewise + the
+configuration engine.
 
 Three pillars.  (1) The O(N·poly(K)) regression piecewise path
 (rank-only weights): agreement with the exhaustive 2^N oracle at tiny
 N and with the configuration engine at serving-ish N.  (2) The
-streaming configuration engine: colex block enumeration, bit-identity
-with the materialized engine for K in {3, 4, 5} on both tasks, and
-fixed-memory guarantees (blocks within budget; the materialized path
-refuses past it with a typed error).  (3) The routing/observability
-surface: the full mode x task x weight-kind selection table, the
-typed capability error, and the bounded configuration-array cache.
+configuration engine: colex block enumeration, agreement with the
+reference recursion for K in {3, 4, 5} on both tasks at several block
+sizes, bit-identity with a materialized colex feed, and a resident
+memory bounded by the block size.  (3) The routing surface: the full
+mode x task x weight-kind selection table and the typed capability
+error.
 """
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import get_kernel, shapley_by_subsets
+from repro.core import kernels as kmod
 from repro.core.kernels import (
-    BatchedWeightedRecursion,
     RankPlan,
     _colex_combinations,
-    _combination_array,
     iter_combination_blocks,
-    materialized_config_bytes,
-    weighted_config_cache_clear,
-    weighted_config_cache_stats,
 )
 from repro.core.piecewise import (
     size_sum_closed_form,
@@ -34,11 +33,7 @@ from repro.core.piecewise import (
 )
 from repro.core.weighted import exact_weighted_knn_shapley
 from repro.datasets import gaussian_blobs, regression_dataset
-from repro.exceptions import (
-    KernelCapabilityError,
-    MemoryBudgetError,
-    ParameterError,
-)
+from repro.exceptions import KernelCapabilityError, ParameterError
 from repro.knn import argsort_by_distance
 from repro.knn.weights import weight_position_table
 from repro.utility import WeightedKNNRegressionUtility
@@ -77,7 +72,7 @@ def test_streaming_blocks_concatenate_to_colex(r, block_rows):
     blocks = list(iter_combination_blocks(n, r, block_rows))
     np.testing.assert_array_equal(np.concatenate(blocks, axis=0), full)
     # fixed-size guarantee: every block is exactly block_rows except
-    # (possibly) the last — the memory bound the streaming engine sells
+    # (possibly) the last — the configuration engine's memory bound
     for b in blocks[:-1]:
         assert b.shape == (block_rows, r)
     assert 0 < blocks[-1].shape[0] <= block_rows
@@ -94,106 +89,100 @@ def test_streaming_blocks_edge_cases():
     assert [b.shape[0] for b in blocks] == [3, 3]
 
 
-# ------------------------------- streaming vs materialized bit-identity
+# --------------------------------- configuration engine vs reference
+def _engine_values(plan, k, weights, task, block_rows=None):
+    return get_kernel("weighted").values_from_plan(
+        plan, k, weights=weights, task=task, mode="vectorized",
+        block_rows=block_rows,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference(cls_plan, reg_plan):
+    """Reference-path values by ``(task, weights, k)``, computed once."""
+    cache = {}
+
+    def get(task, weights, k):
+        if (task, weights, k) not in cache:
+            plan = cls_plan if task == "classification" else reg_plan
+            cache[task, weights, k] = get_kernel("weighted").values_from_plan(
+                plan, k, weights=weights, task=task, mode="reference"
+            )
+        return cache[task, weights, k]
+
+    return get
+
+
+@pytest.mark.parametrize("block_rows", [5, 17, None], ids=str)
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("weights", ALL_WEIGHTS)
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_configuration_engine_matches_reference(
+    cls_plan, reg_plan, reference, task, weights, k, block_rows
+):
+    """Block boundaries change only the summation order: every block
+    size stays within 1e-12 of the per-coalition recursion."""
+    plan = cls_plan if task == "classification" else reg_plan
+    fast = _engine_values(plan, k, weights, task, block_rows)
+    assert np.max(np.abs(fast - reference(task, weights, k))) <= 1e-12
+
+
+def _materialized_blocks(n_items, r, block_rows):
+    """The whole colex array, materialized, then cut into blocks."""
+    full = _colex_combinations(n_items, r)
+    for start in range(0, full.shape[0], block_rows):
+        yield full[start : start + block_rows]
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("weights", ALL_WEIGHTS)
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_streaming_bit_identical_to_materialized(
-    cls_plan, reg_plan, k, weights, task
+    cls_plan, reg_plan, monkeypatch, k, weights, task
 ):
-    """Same colex order + same block boundaries => the same float adds
-    in the same sequence: streaming must be bit-for-bit identical."""
+    """The block generator feeds the engine the same rows with the same
+    block boundaries as a materialized colex array, so the same float
+    adds run in the same sequence: values are bit-for-bit identical."""
     plan = cls_plan if task == "classification" else reg_plan
-    kernel = get_kernel("weighted")
-    mat = kernel.values_from_plan(
-        plan, k, weights=weights, task=task, mode="vectorized"
+    streamed = _engine_values(plan, k, weights, task)
+    monkeypatch.setattr(kmod, "iter_combination_blocks", _materialized_blocks)
+    np.testing.assert_array_equal(
+        streamed, _engine_values(plan, k, weights, task)
     )
-    stream = kernel.values_from_plan(
-        plan, k, weights=weights, task=task, mode="streaming"
-    )
-    np.testing.assert_array_equal(stream, mat)
 
 
 @pytest.mark.parametrize("block_rows", [5, 17])
 def test_streaming_bit_identity_survives_odd_block_sizes(
-    reg_plan, block_rows
+    reg_plan, monkeypatch, block_rows
 ):
-    kernel = get_kernel("weighted")
-    mat = kernel.values_from_plan(
-        reg_plan,
-        4,
-        weights="gaussian",
-        task="regression",
-        mode="vectorized",
-        block_rows=block_rows,
-    )
-    stream = kernel.values_from_plan(
-        reg_plan,
-        4,
-        weights="gaussian",
-        task="regression",
-        mode="streaming",
-        block_rows=block_rows,
-    )
-    np.testing.assert_array_equal(stream, mat)
+    args = (reg_plan, 4, "gaussian", "regression", block_rows)
+    streamed = _engine_values(*args)
+    monkeypatch.setattr(kmod, "iter_combination_blocks", _materialized_blocks)
+    np.testing.assert_array_equal(streamed, _engine_values(*args))
 
 
-# ------------------------------------------------- fixed-memory budget
+# ------------------------------------------------- fixed-memory engine
 def test_streaming_engine_memory_is_block_bounded():
-    """The streaming engine's resident configuration bytes depend on
-    block_rows, never on C(N-2, K-1)."""
-    block_rows = 1 << 10
-    eng = BatchedWeightedRecursion(500, 5, block_rows=block_rows, streaming=True)
+    """The engine's peak allocation follows block_rows, not the
+    C(N-2, K-1) configurations a materialized enumeration would hold."""
+    n, k, block_rows = 24, 4, 16
+    data = gaussian_blobs(n_train=n, n_test=1, n_features=4, seed=826)
+    plan = _plan(data)
     item = np.dtype(np.intp).itemsize
-    budget = block_rows * max(1, 4) * item
-    assert eng.config_bytes() <= budget
-    # same engine shape at 4x the N: identical resident bytes
-    eng2 = BatchedWeightedRecursion(
-        2000, 5, block_rows=block_rows, streaming=True
+    materialized = item * (
+        sum(math.comb(n - 2, s) * s for s in range(k - 1))
+        + math.comb(n - 2, k - 1) * (k - 1)
+        + sum(math.comb(n - 1, size) * size for size in range(k))
     )
-    assert eng2.config_bytes() == eng.config_bytes()
-    # while the materialized estimate explodes combinatorially
-    assert materialized_config_bytes(2000, 5) > 1 << 33
-
-
-def test_materialized_refuses_past_budget():
-    kernel = get_kernel("weighted")
-    with pytest.raises(MemoryBudgetError) as exc:
-        kernel.select_path(
-            4,
-            "inverse_distance",
-            mode="vectorized",
-            n_train=400,
-            memory_budget_bytes=1 << 20,
-        )
-    assert exc.value.budget_bytes == 1 << 20
-    assert exc.value.estimated_bytes > 1 << 20
-    # auto degrades to streaming instead of refusing
-    assert (
-        kernel.select_path(
-            4,
-            "inverse_distance",
-            n_train=400,
-            memory_budget_bytes=1 << 20,
-        )
-        == "streaming"
-    )
-    # within budget, auto prefers the materialized engine
-    assert (
-        kernel.select_path(3, "inverse_distance", n_train=20) == "vectorized"
-    )
-
-
-def test_materialized_config_bytes_is_exact_int():
-    # exact Python-int arithmetic: no float rounding at serving scale
-    est = materialized_config_bytes(2000, 5)
-    assert isinstance(est, int)
-    item = np.dtype(np.intp).itemsize
-    # dominated by the size-(K-1) block: C(1998, 4) rows of width 4
-    import math
-
-    assert est >= math.comb(1998, 4) * 4 * item
-    assert materialized_config_bytes(1, 3) == 0
+    args = (plan, k, "inverse_distance", "classification", block_rows)
+    _engine_values(*args)  # warm up: first-call imports and caches
+    tracemalloc.start()
+    try:
+        _engine_values(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < materialized / 4
 
 
 # ----------------------------------------- regression piecewise: values
@@ -258,8 +247,6 @@ def test_regression_piecewise_efficiency_axiom():
 def test_size_sum_closed_form_theorem1_identity():
     """C(i-1, a) * SB(N-i-1, a) must telescope to (N-1)/i — the
     Beta-integral identity the pair sweep is built on."""
-    import math
-
     n = 40
     for i in (1, 5, 17, 39):
         m = n - i - 1
@@ -280,15 +267,16 @@ def test_regression_pair_totals_and_anchor_validate_inputs():
 
 # --------------------------------------------------- the routing table
 def _expected_route(mode, task, weights, rank_only):
+    if mode == "streaming":
+        # not a mode: the configuration engine has one form
+        return ParameterError
     if mode == "reference":
         return "reference"
-    if mode == "streaming":
-        return "streaming"
     if mode == "vectorized":
         return "vectorized"
     if mode == "piecewise":
         return "piecewise" if rank_only else KernelCapabilityError
-    # auto at k=2, small n: piecewise when capable, else materialized
+    # auto at k=2: piecewise when capable, else the configuration engine
     return "piecewise" if rank_only else "vectorized"
 
 
@@ -309,13 +297,13 @@ def test_select_path_routing_table(mode, task, weights):
     expected = _expected_route(mode, task, weights, rank_only)
     if expected is KernelCapabilityError:
         with pytest.raises(KernelCapabilityError) as exc:
-            kernel.select_path(2, weights, task=task, mode=mode, n_train=20)
+            kernel.select_path(2, weights, task=task, mode=mode)
         assert exc.value.capability == "rank_only"
+    elif expected is ParameterError:
+        with pytest.raises(ParameterError, match="mode must be one of"):
+            kernel.select_path(2, weights, task=task, mode=mode)
     else:
-        assert (
-            kernel.select_path(2, weights, task=task, mode=mode, n_train=20)
-            == expected
-        )
+        assert kernel.select_path(2, weights, task=task, mode=mode) == expected
 
 
 def test_capability_error_is_parameter_error():
@@ -324,56 +312,3 @@ def test_capability_error_is_parameter_error():
     kernel = get_kernel("weighted")
     with pytest.raises(ParameterError):
         kernel.select_path(2, "gaussian", mode="piecewise")
-
-
-# --------------------------------------------- bounded config-array cache
-def test_config_cache_counts_and_evicts(monkeypatch):
-    from repro.core import kernels as kmod
-
-    weighted_config_cache_clear()
-    base = weighted_config_cache_stats()
-    assert base["entries"] == 0 and base["bytes"] == 0
-
-    a1 = _combination_array(10, 3)
-    assert not a1.flags.writeable  # shared arrays are read-only
-    stats = weighted_config_cache_stats()
-    assert stats["misses"] >= 1 and stats["entries"] >= 1
-    a2 = _combination_array(10, 3)
-    assert a2 is a1  # served from cache
-    assert weighted_config_cache_stats()["hits"] >= 1
-
-    # shrink the cap so the next array fits alone but not alongside the
-    # resident one: admitting it must evict FIFO, values unchanged
-    import math
-
-    b_bytes = math.comb(11, 3) * 3 * np.dtype(np.intp).itemsize
-    monkeypatch.setattr(kmod, "WEIGHTED_CONFIG_CACHE_BYTES", b_bytes + 8)
-    b = _combination_array(11, 3)
-    np.testing.assert_array_equal(b, _colex_combinations(11, 3))
-    stats = weighted_config_cache_stats()
-    assert stats["evictions"] >= 1
-    assert stats["bytes"] <= b_bytes + 8
-
-    # an array larger than the whole cap is served uncached
-    monkeypatch.setattr(kmod, "WEIGHTED_CONFIG_CACHE_BYTES", 8)
-    before = weighted_config_cache_stats()["entries"]
-    c = _combination_array(12, 3)
-    np.testing.assert_array_equal(c, _colex_combinations(12, 3))
-    after = weighted_config_cache_stats()
-    assert after["oversize"] >= 1 and after["entries"] <= before
-
-    weighted_config_cache_clear()
-    monkeypatch.undo()
-
-
-def test_engine_stats_surface_config_cache():
-    from repro.engine import ValuationEngine
-
-    data = gaussian_blobs(n_train=12, n_test=2, n_features=4, seed=825)
-    engine = ValuationEngine(data.x_train, data.y_train, 3)
-    engine.value(
-        data.x_test, data.y_test, method="weighted", weights="gaussian"
-    )
-    stats = engine.stats()
-    cache = stats["weighted_config_cache"]
-    assert {"hits", "misses", "evictions", "bytes", "entries"} <= set(cache)

@@ -4,9 +4,8 @@ Layer 1 — the O(N·K^2) piecewise counting path (rank-only weight
 functions): bit-match against the reference recursion, agreement with
 the exhaustive 2^N oracle, and the Appendix-F group algebra itself.
 Layer 2 — the batched configuration engine: bit-match against the
-reference for every built-in weight function and both tasks, and the
-batched utility oracle it drives.  Plus the mode/path selection logic
-and its engine surfacing.
+reference for every built-in weight function and both tasks.  Plus the
+mode/path selection logic and its engine surfacing.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.core import (
     weighted_knn_group_weight_totals,
     weighted_knn_pair_groups,
     weighted_rank_values,
-    weighted_shapley_single_test,
 )
 from repro.core.kernels import RankPlan, _pad_weight
 from repro.core.piecewise import knn_group_weight_closed_form
@@ -184,43 +182,6 @@ def test_vectorized_custom_callable_fallback(cls_plan):
         cls_plan, 2, weights=halving, mode="vectorized"
     )
     assert np.max(np.abs(fast - ref)) <= 1e-12
-
-
-def test_single_test_vectorized_mode_matches_reference(tiny_cls):
-    utility = WeightedKNNClassificationUtility(
-        tiny_cls, 2, weights="inverse_distance"
-    )
-    ref = weighted_shapley_single_test(utility, 0, mode="reference")
-    fast = weighted_shapley_single_test(utility, 0, mode="vectorized")
-    assert np.max(np.abs(fast - ref)) <= 1e-12
-    with pytest.raises(ParameterError):
-        weighted_shapley_single_test(utility, 0, mode="nope")
-
-
-def test_per_test_value_many_matches_scalar(tiny_cls, tiny_reg):
-    rng = np.random.default_rng(7)
-    for utility in (
-        WeightedKNNClassificationUtility(
-            tiny_cls, 2, weights="inverse_distance"
-        ),
-        WeightedKNNRegressionUtility(tiny_reg, 2, weights="gaussian"),
-    ):
-        n = utility.n_players
-        for m in (0, 1, 2, 3):
-            block = np.stack(
-                [
-                    rng.choice(n, size=m, replace=False)
-                    for _ in range(6)
-                ]
-            ).astype(np.intp) if m else np.zeros((6, 0), dtype=np.intp)
-            for j in range(2):
-                many = utility.per_test_value_many(block, j)
-                one_by_one = [
-                    utility.per_test_value(row, j) for row in block
-                ]
-                np.testing.assert_allclose(many, one_by_one, atol=1e-13)
-        with pytest.raises(ParameterError):
-            utility.per_test_value_many(np.arange(3), 0)  # 1-D block
 
 
 def test_pad_weight_table_matches_scalar():

@@ -41,8 +41,8 @@ METHODS = [
     ),
     pytest.param(
         "classification",
-        {"method": "weighted", "weights": "inverse_distance", "mode": "streaming"},
-        id="weighted-streaming",
+        {"method": "weighted", "weights": "inverse_distance", "mode": "vectorized"},
+        id="weighted-vectorized",
     ),
     pytest.param(
         "classification",

@@ -381,6 +381,33 @@ def test_one_chunk_engine_request_finished_late_raises(data, monkeypatch):
     assert calls == [1]  # one chunk, run to the end, then refused
 
 
+@pytest.mark.parametrize("topology", ["engine", "router"])
+def test_weighted_configuration_sum_stops_at_the_deadline(topology):
+    # one chunk holding a Theorem 7 sum of a few seconds: the budget is
+    # checked between configuration blocks, not only between chunks
+    from repro.datasets import gaussian_blobs
+
+    small = gaussian_blobs(n_train=80, n_test=1, n_features=4, seed=3)
+    if topology == "engine":
+        server = ValuationEngine(small.x_train, small.y_train, 4)
+    else:
+        server = ShardRouter(small.x_train, small.y_train, k=4, n_shards=2)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(DeadlineExceededError):
+            server.value(
+                small.x_test,
+                small.y_test,
+                method="weighted",
+                weights="inverse_distance",
+                deadline_s=0.05,
+            )
+        assert time.perf_counter() - t0 < 0.5
+    finally:
+        if topology == "router":
+            server.close()
+
+
 # ---------------------------------------------------------------------------
 # router: deadline propagation, breakers, hedging under a slow shard
 # ---------------------------------------------------------------------------

@@ -116,7 +116,6 @@ def test_weighted_request_records_execution_path(data):
         "k1",
         "piecewise",
         "vectorized",
-        "streaming",
         "reference",
     )
     assert "kernel.weighted" in _names(tree)

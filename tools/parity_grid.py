@@ -6,8 +6,10 @@ router's fetch or merge) must leave values bit-identical.  The grid
 runs a seeded method x topology (engine, data-sharded router) x
 ``store_per_test`` x partial (one shard failed via ``FaultInjector``)
 grid, plus LSH (ragged, some rows empty), multi-chunk engines, a
-cache-hit repeat, tie-heavy data, a multi-chunk data-sharded
-request after mutations, and exact and weighted requests large enough
+cache-hit repeat, tie-heavy data, distance-weighted regression (the
+configuration engine on the regression task), a multi-chunk
+data-sharded request after mutations, and exact and weighted requests
+large enough
 for the brute backend to split their ranking into row blocks (q=64,
 N=6000, 2% duplicate rows, cold then cached), and saves every value
 array to ``.npz``.
@@ -39,7 +41,7 @@ METHODS = {
 
 def grid():
     # imported here, so that --compare runs without the package
-    from repro.datasets import gaussian_blobs
+    from repro.datasets import gaussian_blobs, regression_dataset
     from repro.engine import ShardRouter, ValuationEngine
     from repro.monitor import FaultInjector
 
@@ -78,6 +80,21 @@ def grid():
                         out[key] = r.values
                         if store:
                             out[key + "/pt"] = r.extra["per_test"]
+    # distance-weighted regression: the configuration engine on eq 27
+    reg = regression_dataset(n_train=40, n_test=6, n_features=4, seed=7)
+    for weights in ("inverse_distance", "gaussian"):
+        kw = {"method": "weighted", "weights": weights, "store_per_test": True}
+        for chunk in (None, 5):
+            eng = ValuationEngine(reg.x_train, reg.y_train, 3, task="regression",
+                                  chunk_size=chunk)
+            r = eng.value(reg.x_test, reg.y_test, **kw)
+            out[f"reg/engine/{weights}/{chunk}"] = r.values
+            out[f"reg/engine/{weights}/{chunk}/pt"] = r.extra["per_test"]
+        with ShardRouter(reg.x_train, reg.y_train, 3, n_shards=2,
+                         task="regression") as router:
+            r = router.value(reg.x_test, reg.y_test, **kw)
+            out[f"reg/router/{weights}"] = r.values
+            out[f"reg/router/{weights}/pt"] = r.extra["per_test"]
     # LSH: candidate rows, ragged (some empty) at a long code length
     for name, opts in (("lsh", {"seed": 4}), ("lsh-ragged", {"seed": 4, "alpha": 4.0})):
         eng = ValuationEngine(small.x_train, small.y_train, 3, backend="lsh",
