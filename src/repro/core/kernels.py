@@ -442,7 +442,10 @@ def weighted_rank_values(
         return w
 
     pool = list(range(1, n + 1))
+    check = _BLOCK_CHECK.get()
     for i in range(n - 1, 0, -1):  # compute s_i from s_{i+1}
+        if check is not None:
+            check("between rank steps")
         rest = [r for r in pool if r != i and r != i + 1]
         acc = 0.0
         # small coalitions: |S| <= K-2, every subset counts once
@@ -718,8 +721,9 @@ def iter_combination_blocks(
 
 
 #: The running request's deadline check, called between configuration
-#: blocks; see :func:`block_checks`.  A context variable, so every
-#: chunk thread sees its own request's check and nothing is shared.
+#: blocks, reference rank steps and Monte Carlo permutations; see
+#: :func:`block_checks`.  A context variable, so every chunk thread
+#: sees its own request's check and nothing is shared.
 _BLOCK_CHECK: ContextVar[Optional[Callable[[str], None]]] = ContextVar(
     "repro_block_check", default=None
 )
@@ -727,13 +731,16 @@ _BLOCK_CHECK: ContextVar[Optional[Callable[[str], None]]] = ContextVar(
 
 @contextmanager
 def block_checks(check: Optional[Callable[[str], None]]):
-    """Call ``check(where)`` before every configuration block in this context.
+    """Call ``check(where)`` before every unit of a long loop in this context.
 
-    The request pipeline enters it around each chunk with its deadline
-    budget's check, so a Theorem 7 sum that outlives the request raises
-    the check's error at most one block late instead of after the whole
-    ``O(N^K)`` enumeration.  Kernels that never reach
-    :class:`BatchedWeightedRecursion` are unaffected.
+    The units are the configuration blocks of
+    :class:`BatchedWeightedRecursion`, the rank steps of
+    :func:`weighted_rank_values` and the permutations of
+    :func:`repro.core.mcserve.mc_values_from_distances`.  The request
+    pipeline enters it around each chunk with its deadline budget's
+    check, so a Theorem 7 sum or a Monte Carlo run that outlives the
+    request raises the check's error at most one unit late instead of
+    after the whole loop.  Other kernels are unaffected.
     """
     token = _BLOCK_CHECK.set(check)
     try:

@@ -46,6 +46,7 @@ import heapq
 import numpy as np
 
 from ..exceptions import DataValidationError, ParameterError
+from .kernels import _BLOCK_CHECK
 
 __all__ = ["mc_values_from_distances"]
 
@@ -132,7 +133,10 @@ def mc_values_from_distances(
         )
     q, n = dist.shape
     values = np.zeros((q, n), dtype=np.float64)
+    check = _BLOCK_CHECK.get()
     for _ in range(n_permutations):
+        if check is not None:
+            check("between permutations")
         perm = rng.permutation(n)
         for j in range(q):
             # per-row 1-D take of the distances alone; labels are read

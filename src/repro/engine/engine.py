@@ -66,7 +66,7 @@ from ..types import (
     as_removal_indices,
 )
 from .backends import LSHNeighborBackend, NeighborBackend, make_backend, usable_cores
-from .cache import RankCache, array_fingerprint
+from .cache import RankCache, array_fingerprint, dataset_fingerprint
 from .plan import RequestPlan, _Budget, as_query_batch, plan_request
 
 __all__ = ["ValuationEngine"]
@@ -160,7 +160,11 @@ class ValuationEngine:
         ``backend`` is an instance).
     cache:
         ``True`` (default) for a private :class:`RankCache`, ``False``
-        to disable memoization, or a shared :class:`RankCache`.
+        to disable memoization, or a shared :class:`RankCache`.  With
+        a cache, the training set is hashed once, here; engines built
+        over equal arrays share entries, and each mutation derives the
+        next identity from what changed.  Without one, nothing is
+        hashed.
     n_workers:
         Thread count for chunk execution; defaults to ``min(4, usable
         cores)``, the CPUs this process may run on (its affinity mask,
@@ -216,7 +220,11 @@ class ValuationEngine:
         if chunk_size is not None and chunk_size <= 0:
             raise ParameterError(f"chunk_size must be positive, got {chunk_size}")
         self.chunk_size = chunk_size
-        self._train_fp = array_fingerprint(self.x_train)
+        # the training set's cache identity; only a cache reads it, so
+        # an engine without one never hashes the training set
+        self._train_fp = (
+            None if self.cache is None else array_fingerprint(self.x_train)
+        )
         self._state_lock = _RWLock()
         #: optional :class:`repro.monitor.TelemetryHub` (see
         #: :meth:`attach_telemetry`)
@@ -606,8 +614,9 @@ class ValuationEngine:
         backends absorb the append in place; the LSH backend inserts
         into its existing buckets and only falls back to a warned
         refit when ``n`` drifts beyond its tuned size.  Cached
-        rankings of the *old* training set are evicted by fingerprint
-        — entries for other datasets sharing the cache survive.
+        rankings of the *old* training set are evicted by its identity
+        — entries for other datasets sharing the cache survive — and
+        the new identity is derived from the appended rows alone.
         """
         with self._state_lock.write():
             with self.tracer.span("engine.mutate", kind="add") as span:
@@ -618,7 +627,7 @@ class ValuationEngine:
                 self.backend.partial_fit(x_new)
                 # alias the backend's index — one training-set copy, not two
                 self.x_train = self.backend.data
-                self._invalidate_train_fp()
+                self._invalidate_train_fp("add", x_new)
                 return np.arange(first, first + x_new.shape[0], dtype=np.intp)
 
     def remove_points(self, idx) -> None:
@@ -635,12 +644,22 @@ class ValuationEngine:
                 self.backend.forget(idx)
                 self.x_train = self.backend.data
                 self.y_train = np.delete(self.y_train, idx)
-                self._invalidate_train_fp()
+                self._invalidate_train_fp("remove", np.sort(idx))
 
-    def _invalidate_train_fp(self) -> None:
-        old_fp = self._train_fp
-        self._train_fp = array_fingerprint(self.x_train)
+    def _invalidate_train_fp(self, op: str, change: np.ndarray) -> None:
+        """Chain the training identity through one mutation; evict the old one.
+
+        The new identity hashes the old one, ``op`` and the fingerprint
+        of ``change`` alone (the appended rows, or the sorted removal
+        indices), so a join or leave costs O(change), not O(N·d).
+        Appends stack and deletes follow ``numpy.delete``, so equal
+        histories from equal arrays mean equal training sets.  Equal
+        sets reached through different histories get different
+        identities: a miss, never a wrong hit.
+        """
         if self.cache is not None:
+            old_fp = self._train_fp
+            self._train_fp = dataset_fingerprint(change, extra=(old_fp, op))
             self.cache.invalidate(old_fp)
         with self._ops_lock:
             self._ops["mutations"] += 1

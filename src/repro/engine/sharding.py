@@ -336,8 +336,10 @@ class ShardRouter:
         self._placement: list[np.ndarray] = []
         splits = np.array_split(np.arange(n, dtype=np.intp), n_shards)
         for i, part in enumerate(splits):
+            # contiguous parts: each shard aliases a row slice, no copy
+            rows = slice(int(part[0]), int(part[-1]) + 1)
             self.shards.append(
-                Shard(f"shard{i}", build(x_train[part], y_train[part]))
+                Shard(f"shard{i}", build(x_train[rows], y_train[rows]))
             )
             self._placement.append(part.copy())
         self._y = y_train.copy()

@@ -11,6 +11,7 @@ can strand a caller.
 """
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -381,6 +382,13 @@ def test_one_chunk_engine_request_finished_late_raises(data, monkeypatch):
     assert calls == [1]  # one chunk, run to the end, then refused
 
 
+def _server(topology, x, y, k):
+    """An engine or a 2-shard router, as a context manager."""
+    if topology == "engine":
+        return nullcontext(ValuationEngine(x, y, k))
+    return ShardRouter(x, y, k=k, n_shards=2)
+
+
 @pytest.mark.parametrize("topology", ["engine", "router"])
 def test_weighted_configuration_sum_stops_at_the_deadline(topology):
     # one chunk holding a Theorem 7 sum of a few seconds: the budget is
@@ -388,11 +396,7 @@ def test_weighted_configuration_sum_stops_at_the_deadline(topology):
     from repro.datasets import gaussian_blobs
 
     small = gaussian_blobs(n_train=80, n_test=1, n_features=4, seed=3)
-    if topology == "engine":
-        server = ValuationEngine(small.x_train, small.y_train, 4)
-    else:
-        server = ShardRouter(small.x_train, small.y_train, k=4, n_shards=2)
-    try:
+    with _server(topology, small.x_train, small.y_train, 4) as server:
         t0 = time.perf_counter()
         with pytest.raises(DeadlineExceededError):
             server.value(
@@ -403,9 +407,44 @@ def test_weighted_configuration_sum_stops_at_the_deadline(topology):
                 deadline_s=0.05,
             )
         assert time.perf_counter() - t0 < 0.5
-    finally:
-        if topology == "router":
-            server.close()
+
+
+@pytest.mark.parametrize("topology", ["engine", "router"])
+def test_weighted_reference_recursion_stops_at_the_deadline(topology):
+    # one chunk, one test point, a per-coalition Theorem 7 recursion of
+    # a few seconds: the budget is checked between its rank steps
+    from repro.datasets import gaussian_blobs
+
+    small = gaussian_blobs(n_train=100, n_test=1, n_features=4, seed=3)
+    with _server(topology, small.x_train, small.y_train, 3) as server:
+        t0 = time.perf_counter()
+        with pytest.raises(DeadlineExceededError, match="between rank steps"):
+            server.value(
+                small.x_test,
+                small.y_test,
+                method="weighted",
+                weights="inverse_distance",
+                mode="reference",
+                deadline_s=0.05,
+            )
+        assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("topology", ["engine", "router"])
+def test_monte_carlo_permutations_stop_at_the_deadline(data, topology):
+    # an explicit permutation count worth seconds: checked per permutation
+    with _server(topology, data.x_train, data.y_train, K) as server:
+        t0 = time.perf_counter()
+        with pytest.raises(DeadlineExceededError, match="between permutations"):
+            server.value(
+                data.x_test,
+                data.y_test,
+                method="mc",
+                n_permutations=20000,
+                seed=1,
+                deadline_s=0.05,
+            )
+        assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------

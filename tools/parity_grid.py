@@ -8,11 +8,11 @@ runs a seeded method x topology (engine, data-sharded router) x
 grid, plus LSH (ragged, some rows empty), multi-chunk engines, a
 cache-hit repeat, tie-heavy data, distance-weighted regression (the
 configuration engine on the regression task), a multi-chunk
-data-sharded request after mutations, and exact and weighted requests
-large enough
-for the brute backend to split their ranking into row blocks (q=64,
-N=6000, 2% duplicate rows, cold then cached), and saves every value
-array to ``.npz``.
+data-sharded request after mutations, exact and weighted requests
+large enough for the brute backend to split their ranking into row
+blocks (q=64, N=6000, 2% duplicate rows, cold then cached), and cached
+engines (one alone, two on one shared cache) through a join and a
+leave.  It saves every value array to ``.npz``.
 
 Usage, from the root of the checkout whose ``src`` is under test::
 
@@ -42,7 +42,7 @@ METHODS = {
 def grid():
     # imported here, so that --compare runs without the package
     from repro.datasets import gaussian_blobs, regression_dataset
-    from repro.engine import ShardRouter, ValuationEngine
+    from repro.engine import RankCache, ShardRouter, ValuationEngine
     from repro.monitor import FaultInjector
 
     small = gaussian_blobs(n_train=300, n_test=21, n_features=6, seed=5)
@@ -120,6 +120,32 @@ def grid():
         for rep in range(2):
             r = eng.value(market.x_test, market.y_test, method=method, **METHODS[method])
             out[f"market/engine/{method}/{rep}"] = r.values
+    # cached engines through a seller join and leave: value, join, value
+    # twice (a miss, then a hit), leave, value twice; "shared" runs two
+    # engines with one history on one RankCache, the second hitting the
+    # first's entries
+    for dname, d in (("small", small), ("market", market)):
+        x_new, y_new = d.x_train[:7] + 0.5, d.y_train[:7]
+        n = d.x_train.shape[0] + 7
+        gone = [3, n // 2, n - 1]
+        shared = RankCache()
+        for topo, engines in (
+            ("cached", [ValuationEngine(d.x_train, d.y_train, 5)]),
+            ("shared", [ValuationEngine(d.x_train, d.y_train, 5, cache=shared)
+                        for _ in range(2)]),
+        ):
+            for stage, mutate, reps in (
+                ("built", None, 1),
+                ("joined", lambda e: e.add_points(x_new, y_new), 2),
+                ("left", lambda e: e.remove_points(gone), 2),
+            ):
+                for e in engines if mutate else ():
+                    mutate(e)
+                for rep in range(reps):
+                    for i, e in enumerate(engines):
+                        for method in ("exact", "weighted"):
+                            r = e.value(d.x_test, d.y_test, method=method, **METHODS[method])
+                            out[f"{dname}/{topo}/{stage}/{rep}/{i}/{method}"] = r.values
     # multi-chunk data-sharded requests, after mutations
     for method in ("exact", "mc"):
         with ShardRouter(big.x_train, big.y_train, 5, n_shards=2) as router:
