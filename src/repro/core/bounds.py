@@ -49,7 +49,7 @@ _RATE_BLOCK = 1 << 16
 
 
 def _validate(epsilon: float, delta: float, r: float) -> None:
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN included
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")

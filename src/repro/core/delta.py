@@ -24,8 +24,10 @@ boundary untouched: only the anchor and the boundaries at positions
 — O(n - p) work instead of a fresh O(n d) distance pass and
 O(n log n) sort.  This is what makes valuation of *dynamic* datasets
 (churning data-market sellers) cheap: see
-:class:`repro.engine.incremental.IncrementalValuator` for the
-orchestration across test points and backends.
+:class:`repro.engine.incremental.IncrementalValuator`, which applies
+these repairs across a fitted test batch after each mutation of the
+:class:`~repro.engine.engine.ValuationEngine` that owns the training
+set.
 
 The suffix recomputation reuses the exact floating-point evaluation
 order of :func:`repro.core.exact.exact_knn_shapley_from_order` (same

@@ -61,10 +61,6 @@ layers can route generically instead of hard-coding method names:
 * ``needs_full_ranking`` — the recursion consumes the whole ranking
   (Theorems 1/6/7); ``False`` means a top-``K*`` prefix suffices
   (Theorem 2, and therefore the LSH path of Theorem 4).
-* ``supports_incremental`` — the recursion is *rank-local* (see
-  :mod:`repro.core.delta`), so
-  :class:`repro.engine.incremental.IncrementalValuator` can repair
-  fitted state after insertions/deletions instead of recomputing.
 * ``supports_regression`` — the kernel consumes real-valued labels.
 * ``needs_distances`` — the kernel needs the sorted distance rows of
   the plan (the weighted kernel's weight functions do).
@@ -192,7 +188,7 @@ def truncation_rank(k: int, epsilon: float) -> int:
     """
     if k <= 0:
         raise ParameterError(f"k must be positive, got {k}")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN included
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     return max(k, math.ceil(1.0 / epsilon))
 
@@ -1047,7 +1043,6 @@ class KernelCapabilities:
     """What a kernel consumes and which execution paths it supports."""
 
     needs_full_ranking: bool
-    supports_incremental: bool
     supports_regression: bool
     needs_distances: bool = False
 
@@ -1056,9 +1051,9 @@ class ValuationKernel(ABC):
     """A vectorized rank-space Shapley recursion behind the registry.
 
     Subclasses implement :meth:`values_from_plan` and publish a
-    :attr:`capabilities` record; the engine, streaming accumulator and
-    incremental valuator route on those capabilities instead of on
-    method names.
+    :attr:`capabilities` record; the engine's request plan (and so
+    every layer built on the engine) routes on those capabilities
+    instead of on method names.
     """
 
     #: registry name; overridden by subclasses
@@ -1111,7 +1106,6 @@ class ExactClassificationKernel(ValuationKernel):
     name = "exact"
     capabilities = KernelCapabilities(
         needs_full_ranking=True,
-        supports_incremental=True,
         supports_regression=False,
     )
 
@@ -1150,7 +1144,6 @@ class TruncatedKernel(ValuationKernel):
     name = "truncated"
     capabilities = KernelCapabilities(
         needs_full_ranking=False,
-        supports_incremental=False,
         supports_regression=False,
     )
 
@@ -1198,7 +1191,6 @@ class RegressionKernel(ValuationKernel):
     name = "regression"
     capabilities = KernelCapabilities(
         needs_full_ranking=True,
-        supports_incremental=False,
         supports_regression=True,
     )
 
@@ -1246,7 +1238,6 @@ class WeightedKernel(ValuationKernel):
     name = "weighted"
     capabilities = KernelCapabilities(
         needs_full_ranking=True,
-        supports_incremental=False,
         supports_regression=True,
         needs_distances=True,
     )

@@ -6,11 +6,13 @@ value must be updated *on the fly* — re-running a batch job per query
 wastes the work, and the running average over queries is exactly the
 multi-test Shapley value (eq 8) by additivity.
 
-:class:`StreamingKNNShapley` maintains that running average.  Retrieval
-delegates to the fit-once backends of :mod:`repro.engine.backends`:
+:class:`StreamingKNNShapley` maintains that running average over a
+:class:`~repro.engine.engine.ValuationEngine`, the one owner of the
+training set: each query is one engine request and each join or leave
+one engine mutation.
 
 * ``"exact"`` — rank the full training set per query (Theorem 1) with
-  an exact backend;
+  the brute backend;
 * ``"lsh"`` — retrieve only the K* nearest with a pre-built LSH index
   and apply the truncated recursion (Theorems 2 + 4), giving sublinear
   per-query cost at an (epsilon, delta) guarantee.
@@ -22,6 +24,8 @@ backends that cannot produce full rankings use the truncated path.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..exceptions import ParameterError
@@ -30,10 +34,9 @@ from ..types import (
     ValuationResult,
     as_float_matrix,
     as_label_vector,
-    as_new_points,
     as_removal_indices,
 )
-from .kernels import RankPlan, get_kernel, truncation_rank
+from .kernels import truncation_rank
 
 __all__ = ["StreamingKNNShapley"]
 
@@ -59,7 +62,9 @@ class StreamingKNNShapley:
         Approximation targets for truncated-path backends (ignored by
         exact ones).
     metric:
-        Distance metric for exact backends (the LSH backend is l2).
+        Distance metric, resolved by the engine: ``None`` (default)
+        adopts the backend's (the LSH backend is l2), and a conflicting
+        explicit value raises.
     seed:
         Seed for the LSH index construction.
     """
@@ -72,61 +77,67 @@ class StreamingKNNShapley:
         backend="exact",
         epsilon: float = 0.1,
         delta: float = 0.1,
-        metric: str = "euclidean",
+        metric: Optional[str] = None,
         seed: SeedLike = None,
     ) -> None:
         # imported lazily: repro.core must not depend on repro.engine
         # at import time (the engine builds on core)
-        from ..engine.backends import (
-            LSHNeighborBackend,
-            NeighborBackend,
-            available_backends,
-            make_backend,
-        )
+        from ..engine.backends import LSHNeighborBackend, NeighborBackend
+        from ..engine.engine import ValuationEngine
 
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        self.x_train = as_float_matrix(x_train, "x_train")
-        self.y_train = as_label_vector(y_train, self.x_train.shape[0], "y_train")
-        self.k = int(k)
-        self.epsilon = float(epsilon)
-        self.delta = float(delta)
-        self.metric = metric
-        self.n_train = self.x_train.shape[0]
-        self._totals = np.zeros(self.n_train, dtype=np.float64)
-        self._n_queries = 0
-        self._k_star = truncation_rank(self.k, self.epsilon)
         if isinstance(backend, NeighborBackend):
-            self._backend = backend
-            self.backend = backend.name
+            spec, self.backend = backend, backend.name
         elif backend == "exact":
             # historical alias for exact full-ranking retrieval
-            self._backend = make_backend("brute", metric=metric)
-            self.backend = "exact"
+            spec, self.backend = "brute", "exact"
         elif backend == "lsh":
-            self._backend = LSHNeighborBackend(
-                delta=self.delta,
-                alpha=0.5,
-                tune_with_queries=False,
-                seed=seed,
+            spec = LSHNeighborBackend(
+                delta=delta, alpha=0.5, tune_with_queries=False, seed=seed
             )
             self.backend = "lsh"
-        elif backend in available_backends():
-            self._backend = make_backend(backend, metric=metric)
-            self.backend = backend
         else:
-            raise ParameterError(
-                f"backend must be 'exact', a registered backend name "
-                f"{available_backends()}, or a NeighborBackend instance; "
-                f"got {backend!r}"
-            )
-        self._backend.fit(self.x_train)
-        self._exact_updates = self._backend.supports_full_ranking
+            spec = self.backend = backend
+        #: the owner of the training set, its backend and its mutations
+        self.engine = ValuationEngine(
+            x_train, y_train, k, metric=metric, backend=spec,
+            cache=False, n_workers=1,
+        )
+        self.k = self.engine.k
+        self.epsilon = float(epsilon)
+        self.delta = float(delta)
+        self._k_star = truncation_rank(self.k, self.epsilon)
+        self._totals = np.zeros(self.n_train, dtype=np.float64)
+        self._n_queries = 0
+        self._exact_updates = self.engine.backend.supports_full_ranking
+        self._prepare()
+
+    def _prepare(self) -> None:
+        """Build a truncated-path index now, so no query pays for it."""
         if not self._exact_updates:
-            # build the index up front so the first query is not slow
-            self._backend.prepare(None, min(self._k_star, self.n_train))
+            self.engine.backend.prepare(None, min(self._k_star, self.n_train))
 
     # ------------------------------------------------------------------
+    # read-through views of the engine's training set
+    @property
+    def x_train(self) -> np.ndarray:
+        """The current training points (the engine's; read-only)."""
+        return self.engine.x_train
+
+    @property
+    def y_train(self) -> np.ndarray:
+        """The current training labels (the engine's; read-only)."""
+        return self.engine.y_train
+
+    @property
+    def n_train(self) -> int:
+        """Current number of training points."""
+        return self.engine.n_train
+
+    @property
+    def metric(self) -> str:
+        """The metric the engine resolved."""
+        return self.engine.metric
+
     @property
     def n_queries(self) -> int:
         """Number of test points consumed so far."""
@@ -134,27 +145,18 @@ class StreamingKNNShapley:
 
     def update(self, x_test: np.ndarray, y_test: object) -> np.ndarray:
         """Consume one test point; return its single-test value vector."""
-        x_test = np.asarray(x_test, dtype=np.float64).reshape(1, -1)
-        if x_test.shape[1] != self.x_train.shape[1]:
-            raise ParameterError(
-                f"query has {x_test.shape[1]} features, expected "
-                f"{self.x_train.shape[1]}"
-            )
-        # one incremental RankPlan per arriving query; the kernels
-        # scatter rank-space values back to training-index order
+        x_row = np.asarray(x_test, dtype=np.float64).reshape(1, -1)
         y_row = np.atleast_1d(np.asarray(y_test))[:1]
-        if self._exact_updates:
-            order = self._backend.rank(x_test)
-            plan = RankPlan.from_order(order, self.y_train, y_row)
-            contribution = get_kernel("exact").values_from_plan(plan, self.k)[0]
-        else:
-            idx, _ = self._backend.query(
-                x_test, min(self._k_star, self.n_train)
-            )
-            plan = RankPlan.from_neighbor_rows(idx[:1], self.y_train, y_row)
-            contribution = get_kernel("truncated").values_from_plan(
-                plan, self.k, k_star=self._k_star, exact_anchor=True
-            )[0]
+        # one single-query engine request; its per-test row is the
+        # query's value vector in training-index order
+        result = self.engine.value(
+            x_row,
+            y_row,
+            method="exact" if self._exact_updates else "truncated",
+            epsilon=self.epsilon,
+            store_per_test=True,
+        )
+        contribution = result.extra["per_test"][0]
         self._totals += contribution
         self._n_queries += 1
         return contribution
@@ -173,20 +175,12 @@ class StreamingKNNShapley:
         only refits (with a ``RuntimeWarning``) once ``n`` drifts
         beyond the size its tables were tuned for.
         """
-        x_new, y_new = as_new_points(x_new, y_new, self.x_train.shape[1])
-        first = self.n_train
-        self.y_train = np.concatenate((self.y_train, y_new))
+        idx = self.engine.add_points(x_new, y_new)
         self._totals = np.concatenate(
-            (self._totals, np.zeros(x_new.shape[0], dtype=np.float64))
+            (self._totals, np.zeros(idx.size, dtype=np.float64))
         )
-        self._backend.partial_fit(x_new)
-        # alias the backend's index — one training-set copy, not two
-        self.x_train = self._backend.data
-        self.n_train = self.x_train.shape[0]
-        if not self._exact_updates:
-            # rebuild the truncated-path index eagerly, as in __init__
-            self._backend.prepare(None, min(self._k_star, self.n_train))
-        return np.arange(first, self.n_train, dtype=np.intp)
+        self._prepare()
+        return idx
 
     def remove_points(self, idx) -> None:
         """Drop training points by index (``numpy.delete`` semantics).
@@ -198,15 +192,10 @@ class StreamingKNNShapley:
         idx = as_removal_indices(idx)
         if idx.size == 0:
             return
-        # the backend validates range/uniqueness/non-emptiness against
-        # the same n before anything is touched
-        self._backend.forget(idx)
-        self.x_train = self._backend.data
-        self.y_train = np.delete(self.y_train, idx)
+        # the engine validates the whole batch before it changes anything
+        self.engine.remove_points(idx)
         self._totals = np.delete(self._totals, idx)
-        self.n_train = self.x_train.shape[0]
-        if not self._exact_updates:
-            self._backend.prepare(None, min(self._k_star, self.n_train))
+        self._prepare()
 
     def update_batch(
         self, x_test: np.ndarray, y_test: np.ndarray

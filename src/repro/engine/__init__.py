@@ -10,12 +10,15 @@ the part the paper's Section 3.2 serving scenario actually needs:
 * :mod:`~repro.engine.cache` — dataset fingerprinting and a rank/top-K
   LRU so repeated valuations of the same (train, test, metric) pair
   skip the sort entirely;
-* :mod:`~repro.engine.engine` — :class:`ValuationEngine`, chunking test
-  batches, running chunks on a thread pool, and merging Shapley partial
-  sums exactly (additivity, eq 8);
+* :mod:`~repro.engine.engine` — :class:`ValuationEngine`, the one
+  owner of a training set (its backend, its metric and every join or
+  leave), chunking test batches, running chunks on a thread pool, and
+  merging Shapley partial sums exactly (additivity, eq 8);
 * :mod:`~repro.engine.incremental` — :class:`IncrementalValuator`,
   exact delta updates of fitted rank state under training-set churn
-  (the dynamic data-market workload);
+  (the dynamic data-market workload), a client of an engine that
+  ranks and mutates for it, as the streaming accumulator
+  (:class:`repro.core.StreamingKNNShapley`) is;
 * :mod:`~repro.engine.service` — :class:`ValuationService`, a priority
   queue of :class:`ValuationRequest` and :class:`MutationRequest` jobs
   with per-job latency stats, bounded-queue admission control

@@ -119,9 +119,9 @@ class NeighborBackend(ABC):
         """The indexed points, ``(n, d)``.
 
         Callers must treat this as read-only; mutation goes through
-        :meth:`partial_fit` / :meth:`forget`.  Exposed so owners (the
-        incremental valuator, the engine) can alias the index's array
-        instead of keeping a second copy of the training set.
+        :meth:`partial_fit` / :meth:`forget`.  Exposed so the owning
+        engine can alias the index's array instead of keeping a second
+        copy of the training set.
         """
         return self._require_fitted()
 

@@ -151,7 +151,11 @@ class ValuationEngine:
         ``"classification"`` or ``"regression"`` (the truncated and LSH
         paths are classification-only, as in the paper).
     metric:
-        Distance metric for exact backends (LSH is l2).
+        Distance metric.  ``None`` (default) adopts the backend's
+        metric (``"euclidean"`` for the default brute backend and for
+        LSH); an explicit value that conflicts with it raises, so the
+        ranking, the Monte Carlo distance scan and ``extra["metric"]``
+        always share one geometry.
     backend:
         Registered backend name (``"brute"``, ``"blocked"``, ``"lsh"``)
         or a pre-built :class:`NeighborBackend`.
@@ -180,7 +184,7 @@ class ValuationEngine:
         y_train: np.ndarray,
         k: int,
         task: str = "classification",
-        metric: str = "euclidean",
+        metric: Optional[str] = None,
         backend="brute",
         backend_options: Optional[dict] = None,
         cache=True,
@@ -197,16 +201,19 @@ class ValuationEngine:
         self.y_train = as_label_vector(y_train, self.x_train.shape[0], "y_train")
         self.k = int(k)
         self.task = task
-        self.metric = metric
         options = dict(backend_options or {})
         if isinstance(backend, str) and backend in ("brute", "blocked"):
-            options.setdefault("metric", metric)
+            options.setdefault("metric", metric or "euclidean")
         self.backend: NeighborBackend = make_backend(backend, **options)
-        if (
-            isinstance(self.backend, LSHNeighborBackend)
-            and metric != "euclidean"
-        ):
-            raise ParameterError("the LSH backend supports only the l2 metric")
+        # the backend ranks in its own metric: adopt it, refuse a conflict
+        backend_metric = getattr(self.backend, "metric", None)
+        if metric is not None and backend_metric not in (None, metric):
+            raise ParameterError(
+                f"metric {metric!r} conflicts with the backend's "
+                f"{backend_metric!r}; an engine ranks and scores in one "
+                "geometry"
+            )
+        self.metric = metric or backend_metric or "euclidean"
         self.backend.fit(self.x_train)
         if cache is True:
             self.cache: Optional[RankCache] = RankCache()

@@ -12,7 +12,7 @@ over the affected suffix, shift the prefix by a constant — in O(n)
 array work per test point with no distances against incumbents and no
 sort at all.
 
-:class:`IncrementalValuator` owns that fitted state: per test point,
+:class:`IncrementalValuator` keeps that fitted state: per test point,
 the ascending distance ranking, the sorted distances, the label-match
 vector, and the rank-space Shapley values.  ``add_points`` /
 ``remove_points`` apply exact delta updates; ``values()`` aggregates by
@@ -21,6 +21,16 @@ from the (exactly maintained) rankings in one vectorized pass — still
 no distance computation or sort — producing output bit-identical to a
 from-scratch :func:`~repro.core.exact.exact_knn_shapley_from_order`
 run on the current dataset.
+
+The valuator is a client of :class:`~repro.engine.engine.ValuationEngine`,
+the one owner of a training set: the engine builds the backend, ranks
+the test batch and applies every join and leave (validating it before
+anything changes); the valuator keeps only the fitted per-test rank
+state and repairs it after each engine mutation.  The repair is
+Theorem 1's recursion, the one rank-local valuation — the Theorem 6
+regression recursion needs global rank-weighted label sums and the
+weighted game is coalition-dependent — so the valuator serves the
+``exact`` classification kernel only.
 
 Floating-point contract
 -----------------------
@@ -31,15 +41,6 @@ the original valuation bit-for-bit.  The incrementally repaired value
 vector itself carries one rounding per prefix shift (see
 :mod:`repro.core.delta`), keeping ``values()`` within ~1e-15 — and
 always within the 1e-12 acceptance bound — of a full recompute.
-
-Which valuations can be maintained this way is a property of the
-*kernel*, not of this class: the valuator asks the registered kernel's
-:class:`~repro.core.kernels.KernelCapabilities` for
-``supports_incremental`` instead of hard-coding a task.  Today only the
-``exact`` classification kernel is rank-local — the Theorem 6
-regression recursion needs global rank-weighted label sums and the
-weighted game is coalition-dependent — but a third-party kernel that
-advertises the capability plugs straight in.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ from ..types import (
     ValuationResult,
     as_float_matrix,
     as_label_vector,
-    as_new_points,
     as_removal_indices,
 )
-from .backends import NeighborBackend, make_backend
+from .backends import NeighborBackend
+from .engine import ValuationEngine
 
 __all__ = ["IncrementalValuator"]
 
@@ -76,11 +77,10 @@ class IncrementalValuator:
     k:
         The K of KNN.
     metric:
-        Distance metric name (forwarded to the backend and used to
-        score incoming points against the fitted test batch).  Default
-        ``None`` adopts the backend's metric — the two must agree, or
-        inserted points would be ranked in a different geometry than
-        the incumbents; an explicit conflicting value raises.
+        Distance metric name, resolved by the engine: default ``None``
+        adopts the backend's metric, and an explicit conflicting value
+        raises, so inserted points are scored in the geometry the
+        incumbents were ranked in.
     backend:
         Registered backend name or instance.  Must support full
         rankings (``"brute"`` or ``"blocked"``; the LSH backend cannot
@@ -88,12 +88,6 @@ class IncrementalValuator:
         refit instead — see the engine-level mutation path).
     backend_options:
         Keyword arguments for the backend factory.
-    kernel:
-        Name of the valuation kernel whose state is maintained.  The
-        kernel must advertise ``supports_incremental`` in its
-        capabilities (the delta repair assumes a rank-local
-        recursion); today that is the ``exact`` classification
-        kernel.
 
     Not thread-safe: one mutator at a time (the engine/service layers
     add locking when serving concurrently).
@@ -107,45 +101,26 @@ class IncrementalValuator:
         metric: Optional[str] = None,
         backend="brute",
         backend_options: Optional[dict] = None,
-        kernel: str = "exact",
     ) -> None:
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        self.valuation_kernel = get_kernel(kernel)
-        caps = self.valuation_kernel.capabilities
-        if not caps.supports_incremental:
-            raise ParameterError(
-                f"kernel {kernel!r} does not support incremental repair "
-                "(capabilities: supports_incremental=False); its "
-                "recursion is not rank-local, so mutations must re-value "
-                "through ValuationEngine instead"
-            )
-        self.x_train = as_float_matrix(x_train, "x_train")
-        self.y_train = as_label_vector(y_train, self.x_train.shape[0], "y_train")
-        self.k = int(k)
-        options = dict(backend_options or {})
-        if isinstance(backend, str) and backend in ("brute", "blocked"):
-            options.setdefault("metric", metric or "euclidean")
-        self.backend: NeighborBackend = make_backend(backend, **options)
+        #: the owner of the training set, its backend and its mutations
+        self.engine = ValuationEngine(
+            x_train,
+            y_train,
+            k,
+            metric=metric,
+            backend=backend,
+            backend_options=backend_options,
+            cache=False,
+            n_workers=1,
+        )
         if not self.backend.supports_full_ranking:
             raise ParameterError(
                 f"backend {self.backend.name!r} cannot produce the full "
                 "rankings incremental valuation maintains; use 'brute' or "
                 "'blocked'"
             )
-        # incoming points are scored with the same metric the fitted
-        # rankings were built in, or their insertion ranks would be
-        # meaningless — adopt the backend's metric, refuse a conflict
-        backend_metric = getattr(self.backend, "metric", None)
-        if metric is not None and backend_metric not in (None, metric):
-            raise ParameterError(
-                f"metric {metric!r} conflicts with the backend's "
-                f"{backend_metric!r}; incremental state must rank and "
-                "score in one geometry"
-            )
-        self.metric = metric or backend_metric or "euclidean"
-        self._kernel = get_metric(self.metric)
-        self.backend.fit(self.x_train)
+        self.k = self.engine.k
+        self._distance = get_metric(self.metric)
         self.x_test: np.ndarray | None = None
         self.y_test: np.ndarray | None = None
         self._order: np.ndarray | None = None  # (q, n) ascending ranks
@@ -160,10 +135,31 @@ class IncrementalValuator:
         self.telemetry = None
 
     # ------------------------------------------------------------------
+    # read-through views of the engine's training set
+    @property
+    def x_train(self) -> np.ndarray:
+        """The current training points (the engine's; read-only)."""
+        return self.engine.x_train
+
+    @property
+    def y_train(self) -> np.ndarray:
+        """The current training labels (the engine's; read-only)."""
+        return self.engine.y_train
+
+    @property
+    def backend(self) -> NeighborBackend:
+        """The engine's fitted neighbor backend."""
+        return self.engine.backend
+
+    @property
+    def metric(self) -> str:
+        """The metric the engine resolved."""
+        return self.engine.metric
+
     @property
     def n_train(self) -> int:
         """Current number of training points."""
-        return int(self.x_train.shape[0])
+        return self.engine.n_train
 
     @property
     def n_test(self) -> int:
@@ -177,10 +173,10 @@ class IncrementalValuator:
             )
 
     def attach_telemetry(self, hub) -> "IncrementalValuator":
-        """Publish mutation latency into ``hub`` (and the backend's
-        retrieval streams alongside); returns ``self`` for chaining."""
+        """Publish mutation latency into ``hub`` (and the engine's and
+        backend's streams alongside); returns ``self`` for chaining."""
         self.telemetry = hub
-        self.backend.telemetry = hub
+        self.engine.attach_telemetry(hub)
         return self
 
     def _record_mutation(self, kind: str, n_points: int, seconds: float) -> None:
@@ -213,14 +209,9 @@ class IncrementalValuator:
         """
         x_test = as_float_matrix(x_test, "x_test")
         y_test = as_label_vector(y_test, x_test.shape[0], "y_test")
-        if x_test.shape[1] != self.x_train.shape[1]:
-            raise ParameterError(
-                f"x_test has {x_test.shape[1]} features, expected "
-                f"{self.x_train.shape[1]}"
-            )
+        order, dist = self.engine.retrieve(x_test)
         self.x_test = x_test
         self.y_test = y_test
-        order, dist = self.backend.rank_with_distances(x_test)
         # int32 halves the splice bandwidth of the widest integer state
         self._order = np.ascontiguousarray(order, dtype=np.int32)
         self._dist = np.ascontiguousarray(dist)
@@ -233,7 +224,7 @@ class IncrementalValuator:
     def _resync(self) -> ValuationResult:
         """Re-derive rank-space values from the rankings (no sort)."""
         plan = RankPlan.from_order(self._order, self.y_train, self.y_test)
-        per_test = self.valuation_kernel.values_from_plan(plan, self.k)
+        per_test = get_kernel("exact").values_from_plan(plan, self.k)
         values = per_test.mean(axis=0)
         self._s = np.take_along_axis(per_test, self._order, axis=1)
         self._values = values
@@ -248,21 +239,16 @@ class IncrementalValuator:
         recursion — no ranking of incumbents is ever redone.
         """
         start = time.perf_counter()
-        x_new, y_new = as_new_points(x_new, y_new, self.x_train.shape[1])
-        first = self.n_train
-        for i in range(x_new.shape[0]):
-            if self._order is not None:
-                self._insert_one(x_new[i], y_new[i])
-            self.y_train = np.concatenate((self.y_train, y_new[i : i + 1]))
-            self.n_mutations += 1
-        self.backend.partial_fit(x_new)
-        # alias the backend's index — one copy of the training set, not two
-        self.x_train = self.backend.data
+        idx = self.engine.add_points(x_new, y_new)
+        if self._order is not None:
+            # the engine validated and appended the batch; splice its
+            # rows in one at a time, as they took their indices
+            for i in idx:
+                self._insert_one(self.x_train[i], self.y_train[i])
+        self.n_mutations += idx.size
         self._values = None
-        self._record_mutation(
-            "adds", x_new.shape[0], time.perf_counter() - start
-        )
-        return np.arange(first, first + x_new.shape[0], dtype=np.intp)
+        self._record_mutation("adds", idx.size, time.perf_counter() - start)
+        return idx
 
     def remove_points(self, idx) -> None:
         """Delete training points by index (``numpy.delete`` semantics).
@@ -275,36 +261,21 @@ class IncrementalValuator:
         idx = as_removal_indices(idx)
         if idx.size == 0:
             return
-        # validate up front even though backend.forget re-checks: the
-        # per-test rank state mutates point by point below, so a bad
-        # index surfacing mid-way would leave the state corrupted
-        n = self.n_train
-        if np.any(idx < 0) or np.any(idx >= n):
-            raise ParameterError(
-                f"remove indices must lie in [0, {n}), got {idx.tolist()}"
-            )
-        if np.unique(idx).size != idx.size:
-            raise ParameterError(
-                f"remove indices must be unique, got {idx.tolist()}"
-            )
-        if idx.size >= n:
-            raise ParameterError("cannot remove every training point")
-        # descending order keeps the not-yet-removed indices stable
-        for t in np.sort(idx)[::-1]:
-            if self._order is not None:
+        # the engine validates the whole batch before it changes
+        # anything, so a bad index never reaches the rank state
+        self.engine.remove_points(idx)
+        if self._order is not None:
+            # descending order keeps the not-yet-removed indices stable
+            for t in np.sort(idx)[::-1]:
                 self._remove_one(int(t))
-            self.n_mutations += 1
-        self.y_train = np.delete(self.y_train, idx)
-        self.backend.forget(idx)
-        # alias the backend's index — one copy of the training set, not two
-        self.x_train = self.backend.data
+        self.n_mutations += idx.size
         self._values = None
         self._record_mutation("removes", idx.size, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     def _insert_one(self, x_row: np.ndarray, y_val) -> None:
         q, n = self._order.shape
-        d_new = self._kernel(self.x_test, x_row[None, :])[:, 0]
+        d_new = self._distance(self.x_test, x_row[None, :])[:, 0]
         dist, order, match = self._dist, self._order, self._match
         new_dist = np.empty((q, n + 1), dtype=np.float64)
         new_order = np.empty((q, n + 1), dtype=np.int32)

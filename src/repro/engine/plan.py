@@ -17,6 +17,7 @@ supplies only how one chunk is fetched and how chunks are scheduled.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -37,7 +38,7 @@ from ..core.mcserve import mc_values_from_distances
 from ..core.truncated import truncation_rank
 from ..exceptions import DeadlineExceededError, ParameterError
 from ..monitor.tracing import NOOP_TRACER
-from ..types import as_float_matrix, as_label_vector
+from ..types import as_float_matrix, as_label_vector, is_integer
 
 __all__ = [
     "RequestPlan",
@@ -119,10 +120,13 @@ class _Budget:
         """Start a request's budget; ``None`` means no deadline.
 
         Raises:
+            ParameterError: If ``deadline_s`` is NaN.
             DeadlineExceededError: If the budget is already spent.
         """
         if deadline_s is None:
             return None
+        if math.isnan(deadline_s):
+            raise ParameterError("deadline_s must be a number of seconds, got nan")
         budget = cls(deadline_s)
         budget.check("request admission")
         return budget
@@ -342,9 +346,10 @@ def plan_request(
             budget = bennett_permutations(epsilon, delta, n_train, k, r)
             cert_eps = float(epsilon)
         else:
-            if n_permutations <= 0:
+            if not is_integer(n_permutations) or n_permutations <= 0:
                 raise ParameterError(
-                    f"n_permutations must be positive, got {n_permutations}"
+                    f"n_permutations must be a positive integer, got "
+                    f"{n_permutations!r}"
                 )
             budget = int(n_permutations)
             # an explicit budget certifies the epsilon it buys, not

@@ -44,7 +44,7 @@ from ..exceptions import (
 from ..monitor.telemetry import Histogram
 from ..monitor.tracing import NOOP_TRACER, TraceContext
 from ..stats import component_stats
-from ..types import ValuationResult, as_removal_indices
+from ..types import ValuationResult, as_removal_indices, is_integer
 from .engine import ValuationEngine
 
 __all__ = [
@@ -91,10 +91,10 @@ class ValuationRequest:
         with :class:`~repro.exceptions.DeadlineExceededError` without
         touching the engine; otherwise the *remaining* budget
         propagates into the engine (and, through a sharded engine,
-        shrinks per hop).
+        shrinks per hop).  NaN is refused on construction.
     priority:
-        Higher runs first (0 default).  Ties drain in submission
-        order.
+        An integer; higher runs first (0 default).  Ties drain in
+        submission order.
     """
 
     x_test: np.ndarray
@@ -110,6 +110,14 @@ class ValuationRequest:
     trace: Optional[TraceContext] = None
     deadline_ms: Optional[float] = None
     priority: int = 0
+
+    def __post_init__(self) -> None:
+        if self.deadline_ms is not None and math.isnan(self.deadline_ms):
+            raise ParameterError("deadline_ms must be a number, got nan")
+        if not is_integer(self.priority):
+            raise ParameterError(
+                f"priority must be an integer, got {self.priority!r}"
+            )
 
 
 @dataclass(frozen=True)

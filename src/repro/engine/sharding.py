@@ -62,6 +62,7 @@ from ..types import (
     as_label_vector,
     as_new_points,
     as_removal_indices,
+    is_integer,
 )
 from .engine import ValuationEngine, _RWLock, chunk_spans
 from .plan import RequestPlan, _Budget, as_query_batch, plan_request
@@ -186,7 +187,9 @@ class ShardRouter:
             partitioned and retrieval merged exactly.  To split a test
             batch instead, use one engine with ``n_workers``.
         task: ``"classification"`` or ``"regression"``.
-        metric: Distance metric, forwarded to every shard engine.
+        metric: Distance metric, forwarded to every shard engine;
+            ``None`` (default) adopts the backend's, and the router
+            reports the metric its shard engines resolved.
         backend: Backend name forwarded to every shard engine
             (``"brute"``, ``"blocked"``, ``"lsh"``).
         backend_options: Keyword arguments for each shard's backend
@@ -243,7 +246,7 @@ class ShardRouter:
         n_shards: int = 2,
         sharding: str = "data",
         task: str = "classification",
-        metric: str = "euclidean",
+        metric: Optional[str] = None,
         backend: str = "brute",
         backend_options: Optional[dict] = None,
         hub=None,
@@ -280,7 +283,7 @@ class ShardRouter:
                 f"on_shard_error must be 'fail' or 'partial', got "
                 f"{on_shard_error!r}"
             )
-        if shard_timeout is not None and shard_timeout <= 0:
+        if shard_timeout is not None and not shard_timeout > 0:  # NaN too
             raise ParameterError(
                 f"shard_timeout must be positive, got {shard_timeout}"
             )
@@ -294,7 +297,6 @@ class ShardRouter:
             )
         self.k = int(k)
         self.task = task
-        self.metric = metric
         self.sharding = sharding
         self.n_shards = int(n_shards)
         self.shard_timeout = shard_timeout
@@ -342,6 +344,7 @@ class ShardRouter:
                 Shard(f"shard{i}", build(x_train[rows], y_train[rows]))
             )
             self._placement.append(part.copy())
+        self.metric = self.shards[0].engine.metric
         self._y = y_train.copy()
         self._n_total = n
         self._n_features = int(x_train.shape[1])
@@ -891,12 +894,15 @@ class ShardRouter:
             — identical to a single engine's.
 
         Raises:
-            ParameterError: On shape mismatch or a shard index out of
-                range.
+            ParameterError: On shape mismatch, or a shard index that is
+                not an integer in range (a boolean is refused too).
         """
-        if shard is not None and not 0 <= shard < self.n_shards:
+        if shard is not None and not (
+            is_integer(shard) and 0 <= shard < self.n_shards
+        ):
             raise ParameterError(
-                f"shard index {shard} out of range [0, {self.n_shards})"
+                f"shard must be an integer index in [0, {self.n_shards}), "
+                f"got {shard!r}"
             )
         with self._lock.write():
             x_new, y_new = as_new_points(x_new, y_new, self._n_features)

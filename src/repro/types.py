@@ -37,6 +37,7 @@ core never has to defend against surprises:
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -53,6 +54,7 @@ __all__ = [
     "as_new_points",
     "as_removal_indices",
     "as_value_matrix",
+    "is_integer",
 ]
 
 
@@ -108,7 +110,8 @@ def as_new_points(
     """Coerce one mutation batch: points joining a training set.
 
     The shared front door of every dynamic-dataset ``add_points``
-    (engine, incremental valuator, streaming accumulator): a single
+    (the engine, which the incremental valuator and the streaming
+    accumulator add through, and the sharded router): a single
     1-D vector is one *point* (not one feature column), labels may be
     scalar for a single point, and the feature width must match the
     set being joined.
@@ -160,6 +163,13 @@ def as_removal_indices(idx: Any) -> np.ndarray:
             f"removal indices must be integers, got dtype {arr.dtype}"
         )
     return arr.astype(np.intp, copy=False)
+
+
+def is_integer(value: Any) -> bool:
+    """Whether ``value`` is one integer (Python or numpy), as a count,
+    priority or index argument must be; a boolean or an integral float
+    is not, as in :func:`as_removal_indices`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_value_matrix(values: Any, name: str = "values") -> np.ndarray:

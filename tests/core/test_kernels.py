@@ -47,17 +47,14 @@ def test_registry_contents_and_capabilities():
 
     exact = get_kernel("exact")
     assert exact.capabilities.needs_full_ranking
-    assert exact.capabilities.supports_incremental
     assert not exact.capabilities.supports_regression
 
     truncated = get_kernel("truncated")
     assert not truncated.capabilities.needs_full_ranking
-    assert not truncated.capabilities.supports_incremental
 
     regression = get_kernel("regression")
     assert regression.capabilities.needs_full_ranking
     assert regression.capabilities.supports_regression
-    assert not regression.capabilities.supports_incremental
 
     weighted = get_kernel("weighted")
     assert weighted.capabilities.needs_full_ranking
@@ -298,7 +295,6 @@ def test_third_party_kernel_dispatches_through_engine(cls_data):
         name = "test-uniform"
         capabilities = KernelCapabilities(
             needs_full_ranking=False,
-            supports_incremental=False,
             supports_regression=True,
         )
 

@@ -23,6 +23,14 @@ BAD_REQUESTS = [
     pytest.param({"method": "mc", "delta": 1.5}, id="delta=1.5"),
     pytest.param({"method": "weighted", "mode": "bogus"}, id="mode=bogus"),
     pytest.param({"method": "weighted", "weights": "bogus"}, id="weights=bogus"),
+    # NaN passes an `x <= 0` guard, and a float count is not a count
+    pytest.param({"method": "mc", "epsilon": float("nan")}, id="mc-epsilon=nan"),
+    pytest.param(
+        {"method": "truncated", "epsilon": float("nan")}, id="truncated-epsilon=nan"
+    ),
+    pytest.param({"method": "exact", "deadline_s": float("nan")}, id="deadline_s=nan"),
+    pytest.param({"method": "mc", "n_permutations": 2.5}, id="n_permutations=2.5"),
+    pytest.param({"method": "mc", "n_permutations": True}, id="n_permutations=True"),
 ]
 
 #: the method-specific extra fields every topology must agree on

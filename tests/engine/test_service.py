@@ -221,3 +221,24 @@ def test_weighted_requests_ride_the_queue(data):
             np.testing.assert_allclose(
                 result.values, reference.values, rtol=0, atol=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"deadline_ms": float("nan")},
+        {"priority": 2.5},
+        {"priority": float("nan")},
+        {"priority": True},
+    ],
+    ids=["deadline_ms=nan", "priority=2.5", "priority=nan", "priority=True"],
+)
+def test_request_fields_are_validated_on_construction(data, field):
+    with pytest.raises(ParameterError):
+        ValuationRequest(data.x_test, data.y_test, **field)
+
+
+def test_request_accepts_numpy_integer_priority(data, engine):
+    request = ValuationRequest(data.x_test, data.y_test, priority=np.int64(3))
+    with ValuationService(engine, n_workers=1) as service:
+        assert service.submit(request).result(timeout=60).method == "exact"

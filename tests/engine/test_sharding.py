@@ -172,6 +172,21 @@ def test_add_points_explicit_shard_and_validation(data):
             router.add_points(data.x_train[:1], data.y_train[:1], shard=9)
 
 
+@pytest.mark.parametrize(
+    "shard", [np.float64(1.0), 1.0, True], ids=["np-float", "float", "bool"]
+)
+def test_add_points_refuses_a_non_integer_shard(data, shard):
+    with _router(data, n_shards=2) as router:
+        sizes = [s.engine.n_train for s in router.shards]
+        with pytest.raises(ParameterError, match="integer"):
+            router.add_points(data.x_train[:1], data.y_train[:1], shard=shard)
+        assert [s.engine.n_train for s in router.shards] == sizes
+        assert router.n_train == data.n_train
+        # a numpy integer is an integer
+        router.add_points(data.x_train[:1], data.y_train[:1], shard=np.int64(1))
+        assert router.shards[1].engine.n_train == sizes[1] + 1
+
+
 def test_rejected_removal_touches_no_shard():
     from repro.datasets import gaussian_blobs
 
@@ -456,6 +471,7 @@ def test_constructor_validation(data):
         {"sharding": "test"},
         {"on_shard_error": "ignore"},
         {"shard_timeout": 0.0},
+        {"shard_timeout": float("nan")},
         {"n_shards": data.n_train + 1},
     ]:
         with pytest.raises(ParameterError):

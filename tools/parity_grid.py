@@ -10,9 +10,13 @@ cache-hit repeat, tie-heavy data, distance-weighted regression (the
 configuration engine on the regression task), a multi-chunk
 data-sharded request after mutations, exact and weighted requests
 large enough for the brute backend to split their ranking into row
-blocks (q=64, N=6000, 2% duplicate rows, cold then cached), and cached
+blocks (q=64, N=6000, 2% duplicate rows, cold then cached), cached
 engines (one alone, two on one shared cache) through a join and a
-leave.  It saves every value array to ``.npz``.
+leave, and the two dynamic layers: an ``IncrementalValuator`` (brute
+and blocked: fit, join, leave; ``values()`` and ``recompute()``) and
+a ``StreamingKNNShapley`` (exact and seeded LSH: ``update``,
+``update_batch``, then a join and a leave).  It saves every value
+array to ``.npz``.
 
 Usage, from the root of the checkout whose ``src`` is under test::
 
@@ -42,7 +46,8 @@ METHODS = {
 def grid():
     # imported here, so that --compare runs without the package
     from repro.datasets import gaussian_blobs, regression_dataset
-    from repro.engine import RankCache, ShardRouter, ValuationEngine
+    from repro.core import StreamingKNNShapley
+    from repro.engine import IncrementalValuator, RankCache, ShardRouter, ValuationEngine
     from repro.monitor import FaultInjector
 
     small = gaussian_blobs(n_train=300, n_test=21, n_features=6, seed=5)
@@ -153,6 +158,30 @@ def grid():
             router.remove_points([3, 4000, 8999])
             r = router.value(big.x_test, big.y_test, method=method, **METHODS[method])
             out[f"big/router/{method}"] = r.values
+    # the dynamic layers over one training set: a seller join, then a leave
+    x_new, y_new = small.x_train[:7] + 0.5, small.y_train[:7]
+    gone = [3, 150, 306]
+    for backend, opts in (("brute", None), ("blocked", {"block_size": 64, "query_block": 4})):
+        v = IncrementalValuator(small.x_train, small.y_train, 3, backend=backend,
+                                backend_options=opts).fit(small.x_test, small.y_test)
+        for stage, mutate in (
+            ("fit", None),
+            ("joined", lambda: v.add_points(x_new, y_new)),
+            ("left", lambda: v.remove_points(gone)),
+        ):
+            if mutate is not None:
+                mutate()
+            out[f"incremental/{backend}/{stage}/values"] = v.values().values
+            out[f"incremental/{backend}/{stage}/recompute"] = v.recompute().values
+    for backend, kw in (("exact", {}), ("lsh", {"epsilon": 0.2, "delta": 0.2, "seed": 4})):
+        s = StreamingKNNShapley(small.x_train, small.y_train, 3, backend=backend, **kw)
+        out[f"streaming/{backend}/update"] = s.update(small.x_test[0], small.y_test[0])
+        out[f"streaming/{backend}/batch"] = s.update_batch(small.x_test[1:8], small.y_test[1:8])
+        s.add_points(x_new, y_new)
+        out[f"streaming/{backend}/joined"] = s.update_batch(small.x_test[8:14], small.y_test[8:14])
+        s.remove_points(gone)
+        out[f"streaming/{backend}/left"] = s.update_batch(small.x_test[14:], small.y_test[14:])
+        out[f"streaming/{backend}/values"] = s.values().values
     return out
 
 
