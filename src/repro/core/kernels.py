@@ -72,7 +72,9 @@ Dtype contract
 (see :func:`repro.types.as_value_matrix`); the multi-test Shapley
 value is its column mean by additivity (eq 8).  The serving layers
 ask for the column sums through ``column_sums_from_plan`` instead,
-which the ``exact`` kernel computes without materializing the matrix.
+which the ``exact`` and ``truncated`` kernels and the weighted ``k1``
+and ``piecewise`` paths compute with one ``bincount`` over the plan,
+without materializing the matrix.
 
 Third parties can register additional kernels with
 :func:`register_kernel`; the engine accepts any registered name as a
@@ -118,6 +120,7 @@ __all__ = [
     "WeightedKernel",
     "classification_rank_values",
     "truncated_rank_values",
+    "truncated_plan_values",
     "regression_rank_values",
     "weighted_rank_values",
     "weighted_rank_only_values",
@@ -249,6 +252,51 @@ def truncated_rank_values(
         running += (match[i - 1] - match[i]) / k * min(k, i) / i
         values[i - 1] = running
     return values
+
+
+def truncated_plan_values(
+    match_sorted: np.ndarray,
+    lengths: Optional[np.ndarray],
+    k: int,
+    k_star: int,
+    n_train: int | None = None,
+) -> np.ndarray:
+    """:func:`truncated_rank_values` for every row at once.
+
+    ``match_sorted`` is the ``(n_test, m)`` 0/1 label-match matrix in
+    rank order and ``lengths`` each row's valid prefix (``None``: all
+    ``m``); entries past a row's prefix come out 0.  Each element goes
+    through the per-row recursion's own operations, and the running
+    sum is one reverse ``cumsum`` that starts at the row's anchor, so
+    every row is bit-identical to :func:`truncated_rank_values`.
+    """
+    n_test, m = match_sorted.shape
+    if lengths is None:
+        lengths = np.full(n_test, m, dtype=np.intp)
+    # rows covering the whole training set anchor at the exact
+    # farthest-point value; the rest start at 0 below rank k_star
+    anchored = (
+        lengths == n_train
+        if n_train is not None and k_star >= n_train
+        else np.zeros(n_test, dtype=bool)
+    )
+    start = np.where(anchored, lengths - 1, np.minimum(k_star - 1, lengths - 1))
+    vals = np.zeros((n_test, m), dtype=np.float64)
+    if m > 1:
+        ranks = np.arange(1, m, dtype=np.float64)  # i = 1 .. m-1
+        diffs = vals[:, :-1]
+        np.subtract(match_sorted[:, :-1], match_sorted[:, 1:], out=diffs)
+        diffs /= k
+        diffs *= np.minimum(k, ranks)
+        diffs /= ranks
+        diffs[np.arange(m - 1) >= start[:, None]] = 0.0
+    rows = np.flatnonzero(anchored)
+    if rows.size:
+        last = start[rows]
+        vals[rows, last] = match_sorted[rows, last] * min(k, n_train) / (n_train * k)
+    tail = vals[:, ::-1]
+    np.cumsum(tail, axis=1, out=tail)
+    return vals
 
 
 def regression_rank_values(
@@ -1003,9 +1051,14 @@ class RankPlan:
         """Whether every row is a full permutation of the training set."""
         return self.lengths is None and self.width == self.n_train
 
-    def row_length(self, j: int) -> int:
-        """Valid prefix length of row ``j``."""
-        return self.width if self.lengths is None else int(self.lengths[j])
+    def valid(self) -> Optional[np.ndarray]:
+        """``(n_test, width)`` mask of the real entries of a ragged plan.
+
+        ``None`` for a rectangular plan, whose every entry is real.
+        """
+        if self.lengths is None:
+            return None
+        return np.arange(self.width) < self.lengths[:, None]
 
     def match_sorted(self) -> np.ndarray:
         """0/1 label-match matrix in rank order, float64.
@@ -1028,11 +1081,29 @@ class RankPlan:
             np.put_along_axis(per_test, self.order, values_rank, axis=1)
         else:
             per_test = np.zeros((self.n_test, self.n_train), dtype=np.float64)
-            for j in range(self.n_test):
-                lj = self.row_length(j)
-                if lj:
-                    per_test[j, self.order[j, :lj]] = values_rank[j, :lj]
+            valid = self.valid()
+            if valid is None:
+                np.put_along_axis(per_test, self.order, values_rank, axis=1)
+            else:
+                rows = np.nonzero(valid)[0]
+                per_test[rows, self.order[valid]] = values_rank[valid]
         return as_value_matrix(per_test)
+
+    def column_sums(self, values_rank: np.ndarray) -> np.ndarray:
+        """Rank-space values summed by training index, ``(n_train,)``.
+
+        One ``bincount`` over the plan's real entries replaces the
+        ``(n_test, n_train)`` :meth:`scatter` and its column sum.  It
+        adds each column's values in test order, as
+        ``scatter(values_rank).sum(axis=0)`` does, and skips only exact
+        zeros, so the sums agree exactly.
+        """
+        valid = self.valid()
+        if valid is None:
+            order, values = self.order.ravel(), values_rank.ravel()
+        else:
+            order, values = self.order[valid], values_rank[valid]
+        return np.bincount(order, weights=values, minlength=self.n_train)
 
 
 # ======================================================================
@@ -1123,10 +1194,7 @@ class ExactClassificationKernel(ValuationKernel):
         the sums match the unfused path exactly.
         """
         s_rank = self._rank_values(plan, k)
-        sums = np.bincount(
-            plan.order.ravel(), weights=s_rank.ravel(), minlength=plan.n_train
-        )
-        return sums, plan.scatter(s_rank) if keep_per_test else None
+        return plan.column_sums(s_rank), plan.scatter(s_rank) if keep_per_test else None
 
     def _rank_values(self, plan: RankPlan, k: int) -> np.ndarray:
         k = self._check_k(k)
@@ -1162,6 +1230,31 @@ class TruncatedKernel(ValuationKernel):
         set (``k_star >= n_train``); disable it to reproduce the pure
         zero-anchored truncation regardless of coverage.
         """
+        return plan.scatter(self._rank_values(plan, k, epsilon, k_star, exact_anchor))
+
+    def column_sums_from_plan(
+        self,
+        plan: RankPlan,
+        k: int,
+        keep_per_test: bool = False,
+        epsilon: Optional[float] = None,
+        k_star: Optional[int] = None,
+        exact_anchor: bool = True,
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Fused accumulate: one ``bincount`` over the plan's real entries
+        (:meth:`RankPlan.column_sums`); the per-test matrix is built
+        only when it is kept."""
+        s_rank = self._rank_values(plan, k, epsilon, k_star, exact_anchor)
+        return plan.column_sums(s_rank), plan.scatter(s_rank) if keep_per_test else None
+
+    def _rank_values(
+        self,
+        plan: RankPlan,
+        k: int,
+        epsilon: Optional[float],
+        k_star: Optional[int],
+        exact_anchor: bool,
+    ) -> np.ndarray:
         k = self._check_k(k)
         if k_star is None:
             if epsilon is None:
@@ -1169,20 +1262,13 @@ class TruncatedKernel(ValuationKernel):
                     "the truncated kernel needs epsilon or k_star"
                 )
             k_star = truncation_rank(k, epsilon)
-        n_train = plan.n_train if exact_anchor else None
-        vals = np.zeros((plan.n_test, plan.width), dtype=np.float64)
-        for j in range(plan.n_test):
-            lj = plan.row_length(j)
-            if lj == 0:
-                continue
-            vals[j, :lj] = truncated_rank_values(
-                plan.labels_sorted[j, :lj],
-                plan.y_test[j],
-                k,
-                k_star,
-                n_train=n_train,
-            )
-        return plan.scatter(vals)
+        return truncated_plan_values(
+            plan.match_sorted(),
+            plan.lengths,
+            k,
+            k_star,
+            n_train=plan.n_train if exact_anchor else None,
+        )
 
 
 class RegressionKernel(ValuationKernel):
@@ -1327,22 +1413,65 @@ class WeightedKernel(ValuationKernel):
             (default ``2**15``); its configuration memory is
             ``O(block_rows * K)``.
         """
-        k = self._check_k(k)
-        self._require_full_ranking(plan)
-        path = self.select_path(k, weights, task, mode)
-        if callable(weights):
-            weight_fn: WeightFunction = weights
-        else:
-            weight_fn = get_weight_function(weights)
-        if path == "k1":
-            return self._k1_fast_path(plan, task)
-        if path == "piecewise":
-            return self._piecewise_path(plan, k, weight_fn, task)
+        k, path, weight_fn = self._resolve(plan, k, weights, task, mode)
+        if path in ("k1", "piecewise"):
+            return plan.scatter(self._rank_space(plan, k, path, weight_fn, task))
         if path == "vectorized":
             return self._vectorized_path(plan, k, weight_fn, task, block_rows)
         return self._reference_path(plan, k, weight_fn, task)
 
+    def column_sums_from_plan(
+        self,
+        plan: RankPlan,
+        k: int,
+        keep_per_test: bool = False,
+        weights: Union[str, WeightFunction] = "inverse_distance",
+        task: str = "classification",
+        mode: str = "auto",
+        block_rows: Optional[int] = None,
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Column sums; the ``k1`` and ``piecewise`` paths fuse them.
+
+        Those two paths compute rank-space values, so one ``bincount``
+        (:meth:`RankPlan.column_sums`) replaces the scatter and its
+        column sum, and the per-test matrix is built only when kept.
+        The configuration paths return values by training index and
+        sum them as the base class does.
+        """
+        k, path, weight_fn = self._resolve(plan, k, weights, task, mode)
+        if path not in ("k1", "piecewise"):
+            return super().column_sums_from_plan(
+                plan, k, keep_per_test,
+                weights=weights, task=task, mode=mode, block_rows=block_rows,
+            )
+        s_rank = self._rank_space(plan, k, path, weight_fn, task)
+        return plan.column_sums(s_rank), plan.scatter(s_rank) if keep_per_test else None
+
     # ------------------------------------------------------------------
+    def _resolve(
+        self,
+        plan: RankPlan,
+        k: int,
+        weights: Union[str, WeightFunction],
+        task: str,
+        mode: str,
+    ) -> tuple[int, str, WeightFunction]:
+        """``(k, path, weight function)`` of a request, checked."""
+        k = self._check_k(k)
+        self._require_full_ranking(plan)
+        path = self.select_path(k, weights, task, mode)
+        if callable(weights):
+            return k, path, weights
+        return k, path, get_weight_function(weights)
+
+    def _rank_space(
+        self, plan: RankPlan, k: int, path: str, weight_fn: WeightFunction, task: str
+    ) -> np.ndarray:
+        """Rank-space values of the ``k1`` or ``piecewise`` path."""
+        if path == "k1":
+            return self._k1_fast_path(plan, task)
+        return self._piecewise_path(plan, k, weight_fn, task)
+
     def _k1_fast_path(self, plan: RankPlan, task: str) -> np.ndarray:
         if task == "classification":
             payload = plan.match_sorted()
@@ -1353,7 +1482,7 @@ class WeightedKernel(ValuationKernel):
             y = np.asarray(plan.labels_sorted, dtype=np.float64)
             t = np.asarray(plan.y_test, dtype=np.float64)[:, None]
             payload = t**2 - (y - t) ** 2
-        return plan.scatter(classification_rank_values(payload, 1))
+        return classification_rank_values(payload, 1)
 
     def _piecewise_path(
         self, plan: RankPlan, k: int, weight_fn: WeightFunction, task: str
@@ -1368,7 +1497,7 @@ class WeightedKernel(ValuationKernel):
                 k,
                 table,
             )
-        return plan.scatter(s_rank)
+        return s_rank
 
     def _vectorized_path(
         self,

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..exceptions import NotFittedError, ParameterError
 from ..knn.distance import get_metric
-from ..knn.search import stable_argsort_rows, stable_sort_rows, top_k
+from ..knn.search import KNNSearchIndex, stable_argsort_rows, stable_sort_rows
 from ..rng import SeedLike
 from ..stats import component_stats
 from ..types import as_removal_indices
@@ -78,6 +78,7 @@ class NeighborBackend(ABC):
 
     def __init__(self) -> None:
         self._data: np.ndarray | None = None
+        self._exact_index: KNNSearchIndex | None = None
         #: optional :class:`repro.monitor.TelemetryHub`; when attached,
         #: retrieval calls publish latency (and, for LSH, candidate
         #: statistics plus a query reservoir) into it
@@ -129,6 +130,21 @@ class NeighborBackend(ABC):
     def n_features(self) -> int:
         """Feature dimensionality of the indexed points."""
         return int(self._require_fitted().shape[1])
+
+    def search_index(self, metric: str) -> KNNSearchIndex:
+        """Exact search over the indexed points, with their row norms kept.
+
+        Built at the first call, not in :meth:`fit`, and kept for as
+        long as the data array it was built on: a join or leave
+        replaces that array, so the next call builds anew.  Exact
+        retrieval and the engine's Monte Carlo distance scan read the
+        kept norms instead of recomputing them per request.
+        """
+        data = self._require_fitted()
+        index = self._exact_index
+        if index is None or index.data is not data or index.metric != metric:
+            index = self._exact_index = KNNSearchIndex(data, metric)
+        return index
 
     # ------------------------------------------------------------------
     # dynamic datasets: append / delete indexed points
@@ -442,9 +458,8 @@ class BruteForceBackend(NeighborBackend):
         self._last = threading.local()
 
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        data = self._require_fitted()
         start = time.perf_counter()
-        idx, dist = top_k(queries, data, k, metric=self.metric)
+        idx, dist = self.search_index(self.metric).query(queries, k)
         self.record_retrieval(idx.shape[0], time.perf_counter() - start)
         return idx, dist
 
@@ -480,6 +495,7 @@ class BruteForceBackend(NeighborBackend):
         data = self._require_fitted()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         metric = get_metric(self.metric)
+        norms = self.search_index(self.metric).data_norms
         q, n = queries.shape[0], data.shape[0]
         with _HELPERS.ranking():
             cores = usable_cores()
@@ -488,12 +504,12 @@ class BruteForceBackend(NeighborBackend):
             self._count("rank_splits" if helpers else "rank_split_declined")
             self._last.blocks = len(helpers) + 1
             if not helpers:
-                return sort(metric(queries, data))
+                return sort(metric(queries, data, norms))
             outs = tuple(np.empty((q, n), dtype=dtype) for dtype in dtypes)
             cuts = [q * i // (len(helpers) + 1) for i in range(len(helpers) + 2)]
 
             def block(s: int, e: int) -> None:
-                for out, part in zip(outs, sort(metric(queries[s:e], data))):
+                for out, part in zip(outs, sort(metric(queries[s:e], data, norms))):
                     out[s:e] = part
 
             _HELPERS.run(

@@ -54,7 +54,6 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..knn.distance import get_metric
 from ..monitor.tracing import NOOP_TRACER
 from ..stats import component_stats
 from ..types import (
@@ -87,6 +86,22 @@ def chunk_spans(
     if size is None:
         size = int(max(1, min(256, 2**21 // max(1, n_train))))
     return [(s, min(n_test, s + size)) for s in range(0, n_test, size)]
+
+
+def build_backend(
+    backend, backend_options: Optional[dict], metric: Optional[str]
+) -> NeighborBackend:
+    """The unfitted backend an engine with these arguments would use.
+
+    A ``"brute"`` or ``"blocked"`` name gets ``metric`` (default
+    euclidean) unless ``backend_options`` names one; an instance is
+    passed through.  Callers that must refuse a backend before it fits
+    check it here and hand the instance to the engine.
+    """
+    options = dict(backend_options or {})
+    if isinstance(backend, str) and backend in ("brute", "blocked"):
+        options.setdefault("metric", metric or "euclidean")
+    return make_backend(backend, **options)
 
 
 def _stack(parts) -> np.ndarray:
@@ -201,10 +216,7 @@ class ValuationEngine:
         self.y_train = as_label_vector(y_train, self.x_train.shape[0], "y_train")
         self.k = int(k)
         self.task = task
-        options = dict(backend_options or {})
-        if isinstance(backend, str) and backend in ("brute", "blocked"):
-            options.setdefault("metric", metric or "euclidean")
-        self.backend: NeighborBackend = make_backend(backend, **options)
+        self.backend: NeighborBackend = build_backend(backend, backend_options, metric)
         # the backend ranks in its own metric: adopt it, refuse a conflict
         backend_metric = getattr(self.backend, "metric", None)
         if metric is not None and backend_metric not in (None, metric):
@@ -760,11 +772,11 @@ class ValuationEngine:
         backend, cache = self.backend, self.cache
         tracer = self.tracer if tracer is None else tracer
         if kind == "distances":
-            metric_fn, data = get_metric(self.metric), backend.data
+            index = backend.search_index(self.metric)
 
             def scan(s: int, e: int, chunk):
                 with tracer.span("engine.distances", parent=chunk):
-                    return metric_fn(x_test[s:e], data)
+                    return index.distances(x_test[s:e])
 
             return scan, None
         full = kind == "full"

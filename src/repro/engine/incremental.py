@@ -62,7 +62,7 @@ from ..types import (
     as_removal_indices,
 )
 from .backends import NeighborBackend
-from .engine import ValuationEngine
+from .engine import ValuationEngine, build_backend
 
 __all__ = ["IncrementalValuator"]
 
@@ -102,6 +102,14 @@ class IncrementalValuator:
         backend="brute",
         backend_options: Optional[dict] = None,
     ) -> None:
+        # refuse before the engine fits the backend on the training set
+        backend = build_backend(backend, backend_options, metric)
+        if not backend.supports_full_ranking:
+            raise ParameterError(
+                f"backend {backend.name!r} cannot produce the full "
+                "rankings incremental valuation maintains; use 'brute' or "
+                "'blocked'"
+            )
         #: the owner of the training set, its backend and its mutations
         self.engine = ValuationEngine(
             x_train,
@@ -109,16 +117,9 @@ class IncrementalValuator:
             k,
             metric=metric,
             backend=backend,
-            backend_options=backend_options,
             cache=False,
             n_workers=1,
         )
-        if not self.backend.supports_full_ranking:
-            raise ParameterError(
-                f"backend {self.backend.name!r} cannot produce the full "
-                "rankings incremental valuation maintains; use 'brute' or "
-                "'blocked'"
-            )
         self.k = self.engine.k
         self._distance = get_metric(self.metric)
         self.x_test: np.ndarray | None = None

@@ -218,8 +218,9 @@ class RequestPlan:
         if self.retrieval == "topk":
             plan = RankPlan.from_neighbor_rows(retrieved, y_train, y_test)
             with tracer.span(span, parent=parent):
-                per_test = self.kernel.values_from_plan(
-                    plan, self.k, k_star=self.extra["k_star"], exact_anchor=True
+                return self.kernel.column_sums_from_plan(
+                    plan, self.k, store_per_test,
+                    k_star=self.extra["k_star"], exact_anchor=True,
                 )
         else:
             match = (y_train[None, :] == y_test[:, None]).astype(np.float64)
@@ -256,7 +257,8 @@ class RequestPlan:
         the merge, so an answer finished late is never returned as on
         time, and Monte Carlo chunk
         ``i`` samples from child stream ``i`` of ``seed``, so results
-        do not depend on scheduling.  Uncovered columns are 0.
+        do not depend on scheduling.  Uncovered columns are 0; one
+        chunk that covers every column returns its per-test block as is.
         ``chunk_span`` (one chunk's fetch and kernel) and
         ``merge_span`` open under ``parent`` when named.
 
@@ -304,6 +306,9 @@ class RequestPlan:
             budget.check("after the last chunk")
         if not store_per_test:
             return values, None, merge_seconds
+        if len(results) == 1 and isinstance(results[0][2], slice):
+            # one chunk over every column: its block is the matrix
+            return values, results[0][1], merge_seconds
         per_test = np.zeros((n_test, n))
         for (s, e), (_, block, cols) in zip(spans, results):
             per_test[s:e, cols] = block

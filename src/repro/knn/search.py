@@ -4,16 +4,19 @@ This is the substrate under the exact Shapley algorithms: Theorem 1 of
 the paper needs, for every test point, the *full* ascending distance
 ranking of the training set (``argsort_by_distance``), while the
 truncated approximation of Theorem 2 and the KNN models themselves only
-need the top ``k`` (``top_k``), for which ``numpy.argpartition`` gives
-an O(n + k log k) selection instead of a full O(n log n) sort.
+need the top ``k`` (``top_k``), which searches only the column blocks
+that can hold a top-``k`` point and selects there with
+``numpy.argpartition`` instead of a full O(n log n) sort.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..exceptions import ParameterError
-from .distance import get_metric
+from .distance import get_metric, row_norms
 
 __all__ = [
     "argsort_by_distance",
@@ -130,10 +133,18 @@ def argsort_by_distance(
     (:func:`stable_sort_rows`) that the engine's backends use, so the
     oracle never shares that sort's code.
     """
-    dist = get_metric(metric)(queries, data)
+    return _stable_rank(get_metric(metric)(queries, data))
+
+
+def _stable_rank(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(dist, axis=1, kind="stable")
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    return order, sorted_dist
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+#: columns per block of the block-minimum prune in :func:`top_k`
+PRUNE_BLOCK = 128
+#: a row is pruned only when it holds this many blocks per neighbour
+PRUNE_BLOCKS_PER_K = 4
 
 
 def top_k(
@@ -148,46 +159,132 @@ def top_k(
     the result always equals the first ``k`` columns of
     :func:`argsort_by_distance`.
 
-    The fast path makes three passes over the ``(q, n)`` distances:
-    one ``argpartition``, a gather of the ``k`` candidates and one
-    count of the points at or below each row's k-th distance.  A row
-    with exactly ``k`` such points has a unique candidate set, which
-    one lexsort on ``(distance, index)`` orders.  A row whose k-th
-    distance is tied with a point outside the candidates falls back to
-    an exact selection: everything strictly below the k-th distance,
-    then the lowest-indexed tied points.  With ``k >= n`` the whole row
-    is ranked by :func:`stable_sort_rows`.
+    The work is in proportion to the ``k`` neighbours, not to the row:
+    each row's columns are cut into blocks of :data:`PRUNE_BLOCK` and
+    only the blocks whose minimum is at or below the ``k``-th smallest
+    block minimum (plus the short remainder block) are searched.  That
+    is exact: ``k`` blocks hold a point at or below that minimum, so
+    the ``k``-th distance is at most it, and every point at or below
+    the ``k``-th distance, ties included, sits in a kept block.  The
+    candidates keep ascending column order, so a tie is still won by
+    the lower index.  Euclidean rows prune on squared distances and
+    take the square root of the block minima and of the candidates
+    only: ``sqrt`` is monotone, so ``sqrt(min) == min(sqrt)``, and two
+    squared distances with one square root tie as they do in
+    :func:`argsort_by_distance`.  Rows with fewer than
+    :data:`PRUNE_BLOCKS_PER_K` blocks per neighbour search the whole
+    row, and so does a batch in which ties at the threshold keep more
+    than half of some row's blocks.
+
+    The selection makes three passes over the candidates: one
+    ``argpartition``, a gather of the ``k`` picks and one count of the
+    points at or below each row's k-th distance.  A row with exactly
+    ``k`` such points has a unique pick, which one lexsort on
+    ``(distance, index)`` orders.  A row whose k-th distance is tied
+    with a point outside the picks falls back to an exact selection:
+    everything strictly below the k-th distance, then the
+    lowest-indexed tied points.  With ``k >= n`` the whole row is
+    ranked by :func:`stable_sort_rows`.
 
     Returns
     -------
     (indices, distances):
         Both of shape ``(q, min(k, n))``, ordered nearest-first.
     """
+    return _top_k(queries, data, k, metric, None)
+
+
+def _top_k(queries, data, k: int, metric: str, data_norms):
+    """:func:`top_k` with the data's :func:`~repro.knn.distance.row_norms`."""
     if k <= 0:
         raise ParameterError(f"k must be positive, got {k}")
     data = np.atleast_2d(data)
     n = data.shape[0]
     k_eff = min(k, n)
-    dist = get_metric(metric)(queries, data)
+    rooted = metric == "euclidean"
+    dist = get_metric("sqeuclidean" if rooted else metric)(queries, data, data_norms)
+    if k_eff < n and dist.shape[0] and n // PRUNE_BLOCK >= PRUNE_BLOCKS_PER_K * k_eff:
+        kept = _kept_columns(dist, k_eff, rooted)
+        if kept is not None:
+            cols, pad = kept
+            # one flat take: far cheaper than take_along_axis's fancy index
+            cand = dist.take(cols + np.arange(0, dist.size, n)[:, None])
+            if rooted:
+                np.sqrt(cand, out=cand)
+            cand[pad] = np.inf
+            return _select(cand, k_eff, cols)
+    if rooted:
+        np.sqrt(dist, out=dist)
     if k_eff == n:
         return stable_sort_rows(dist)
-    idx = np.argpartition(dist, k_eff - 1, axis=1)[:, :k_eff]
+    return _select(dist, k_eff, None)
+
+
+def _kept_columns(dist: np.ndarray, k: int, rooted: bool):
+    """Every row's columns in blocks that can hold a top-``k`` point.
+
+    Returns ``(cols, pad)``: ``cols`` lists each row's kept columns in
+    ascending order, padded at the end of the row to the widest row,
+    and ``pad`` marks the padding (its ``cols`` entries repeat the last
+    column, so a gather stays in bounds).  Returns ``None``, and so
+    leaves the batch to the whole-row selection, when a row's
+    threshold is not finite (infinite or NaN distances) or when some
+    row keeps more than half its blocks.
+    """
+    q, n = dist.shape
+    width = PRUNE_BLOCK
+    full = n // width
+    # fmin skips NaN, so a block is never dropped for holding one
+    mins = np.fmin.reduce(dist[:, : full * width].reshape(q, full, width), axis=2)
+    if rooted:
+        np.sqrt(mins, out=mins)
+    kth = np.partition(mins, k - 1, axis=1)[:, k - 1 : k]
+    if not np.isfinite(kth).all():
+        return None
+    keep = mins <= kth
+    if n % width:  # the remainder block is always searched
+        keep = np.concatenate((keep, np.ones((q, 1), dtype=bool)), axis=1)
+    counts = np.count_nonzero(keep, axis=1)
+    if 2 * counts.max() > keep.shape[1]:
+        # ties at the threshold keep most blocks (integer or heavily
+        # duplicated data); the gather would cost more than it saves
+        return None
+    rows, blocks = np.nonzero(keep)  # ascending block order per row
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # padding slots name a block past the end: their columns are >= n
+    kept = np.full((q, int(counts.max())), -(-n // width), dtype=np.intp)
+    kept[rows, slot] = blocks
+    cols = (kept[:, :, None] * width + np.arange(width)).reshape(q, -1)
+    pad = cols >= n
+    np.minimum(cols, n - 1, out=cols)
+    return cols, pad
+
+
+def _select(dist: np.ndarray, k: int, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest entries of each row, ties to the lower position.
+
+    ``cols`` maps positions to training indices (ascending in each
+    row); ``None`` means the positions are the indices.
+    """
+    idx = np.argpartition(dist, k - 1, axis=1)[:, :k]
     cand = np.take_along_axis(dist, idx, axis=1)
-    kth = cand[:, k_eff - 1 : k_eff]
-    clean = np.count_nonzero(dist <= kth, axis=1) == k_eff
+    kth = cand[:, k - 1 : k]
+    clean = np.count_nonzero(dist <= kth, axis=1) == k
     if not clean.all():
         # argpartition admits an arbitrary subset of the points tied
-        # at the k-th distance; these rows re-select them by index
+        # at the k-th distance; these rows re-select them by position
         tied = np.flatnonzero(~clean)
         sub, sub_kth = dist[tied], kth[tied]
         below = sub < sub_kth
-        need = k_eff - below.sum(axis=1, keepdims=True)
+        need = k - below.sum(axis=1, keepdims=True)
         at_kth = sub == sub_kth
         take = below | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
-        # each row has exactly k_eff True entries, in ascending index
+        # each row has exactly k True entries, in ascending position
         # order
-        idx[tied] = np.nonzero(take)[1].reshape(tied.size, k_eff)
+        idx[tied] = np.nonzero(take)[1].reshape(tied.size, k)
         cand[tied] = np.take_along_axis(sub, idx[tied], axis=1)
+    if cols is not None:
+        idx = np.take_along_axis(cols, idx, axis=1)
     # primary key distance, secondary key training index
     inner = np.lexsort((idx, cand), axis=1)
     return np.take_along_axis(idx, inner, axis=1), np.take_along_axis(cand, inner, axis=1)
@@ -196,10 +293,14 @@ def top_k(
 class KNNSearchIndex:
     """A tiny exact search index over a fixed data matrix.
 
-    The index pre-computes data norms so repeated queries avoid
-    recomputing ``||x_i||^2``.  It intentionally mirrors the query
-    interface of :class:`repro.lsh.tables.LSHIndex` so valuation code
-    can swap exact search for approximate search.
+    The index computes the data's row norms
+    (:func:`~repro.knn.distance.row_norms`, ``||x_i||^2`` for
+    euclidean) once, at construction, and hands them to every query,
+    so repeated queries never recompute them; the answers are
+    bit-identical to :func:`top_k` and :func:`argsort_by_distance`.  It
+    intentionally mirrors the query interface of
+    :class:`repro.lsh.tables.LSHIndex` so valuation code can swap exact
+    search for approximate search.
     """
 
     def __init__(self, data: np.ndarray, metric: str = "euclidean") -> None:
@@ -207,7 +308,7 @@ class KNNSearchIndex:
         if self._data.shape[0] == 0:
             raise ParameterError("search index requires at least one point")
         self._metric = metric
-        get_metric(metric)  # validate eagerly
+        self._norms = row_norms(self._data, metric)  # validates the metric
 
     @property
     def n(self) -> int:
@@ -219,10 +320,24 @@ class KNNSearchIndex:
         """Distance metric name."""
         return self._metric
 
+    @property
+    def data(self) -> np.ndarray:
+        """The indexed points, ``(n, d)``; read-only."""
+        return self._data
+
+    @property
+    def data_norms(self) -> Optional[np.ndarray]:
+        """The kept row norms (``None`` for a metric without them)."""
+        return self._norms
+
+    def distances(self, queries: np.ndarray) -> np.ndarray:
+        """Raw query-to-data distances, ``(q, n)``, unsorted."""
+        return get_metric(self._metric)(queries, self._data, self._norms)
+
     def query(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``k`` search; see :func:`top_k`."""
-        return top_k(queries, self._data, k, metric=self._metric)
+        return _top_k(queries, self._data, k, self._metric, self._norms)
 
     def query_all(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full ascending ranking; see :func:`argsort_by_distance`."""
-        return argsort_by_distance(queries, self._data, metric=self._metric)
+        return _stable_rank(self.distances(queries))

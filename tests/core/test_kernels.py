@@ -20,6 +20,7 @@ from repro.core.kernels import (
     KernelCapabilities,
     ValuationKernel,
     classification_rank_values,
+    truncated_rank_values,
 )
 from repro.datasets import gaussian_blobs, regression_dataset
 from repro.exceptions import ParameterError
@@ -261,6 +262,80 @@ def test_ragged_plan_scatters_zeros_for_missing_rows(cls_data):
     # columns never retrieved stay exactly zero
     untouched = np.setdiff1d(np.arange(cls_data.n_train), np.concatenate(rows))
     np.testing.assert_array_equal(per_test[:, untouched], 0.0)
+
+
+def _frozen_truncated_loop(plan, k, k_star, exact_anchor):
+    """The per-row recursion the truncated kernel ran before it was
+    vectorized, kept as the oracle."""
+    n_train = plan.n_train if exact_anchor else None
+    vals = np.zeros((plan.n_test, plan.width), dtype=np.float64)
+    for j in range(plan.n_test):
+        lj = plan.width if plan.lengths is None else int(plan.lengths[j])
+        if lj == 0:
+            continue
+        vals[j, :lj] = truncated_rank_values(
+            plan.labels_sorted[j, :lj], plan.y_test[j], k, k_star, n_train=n_train
+        )
+    return plan.scatter(vals)
+
+
+def test_vectorized_truncated_recursion_is_the_per_row_loop():
+    """Ragged rows (some empty), rows that span the training set (the
+    exact anchor), rectangular prefixes and full rankings."""
+    rng = np.random.default_rng(11)
+    kernel = get_kernel("truncated")
+    for case in range(400):
+        n = int(rng.integers(1, 30))
+        y_train = rng.integers(0, 3, n)
+        q = int(rng.integers(1, 6))
+        y_test = rng.integers(0, 3, q)
+        k = int(rng.integers(1, 6))
+        k_star = int(rng.integers(k, k + n + 4))
+        if case % 3 == 0:
+            order = np.argsort(rng.random((q, n)), axis=1)[:, : min(k_star, n)]
+            plan = RankPlan.from_order(order, y_train, y_test)
+        else:
+            rows = []
+            for _ in range(q):
+                length = int(rng.choice([0, n, rng.integers(0, n + 1)]))
+                rows.append(rng.permutation(n)[:length])
+            plan = RankPlan.from_neighbor_rows(rows, y_train, y_test)
+        for anchor in (True, False):
+            want = _frozen_truncated_loop(plan, k, k_star, anchor)
+            got = kernel.values_from_plan(plan, k, k_star=k_star, exact_anchor=anchor)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            for keep in (False, True):
+                sums, per_test = kernel.column_sums_from_plan(
+                    plan, k, keep, k_star=k_star, exact_anchor=anchor
+                )
+                np.testing.assert_array_equal(sums, want.sum(axis=0))
+                if keep:
+                    np.testing.assert_array_equal(per_test, want)
+                else:
+                    assert per_test is None
+
+
+@pytest.mark.parametrize(
+    "weights,task,k",
+    [("rank", "classification", 3), ("uniform", "regression", 2),
+     ("inverse_distance", "classification", 1), ("gaussian", "regression", 1)],
+)
+def test_weighted_rank_space_paths_fuse_their_column_sums(cls_data, reg_data, weights, task, k):
+    """The ``piecewise`` and ``k1`` paths sum by one bincount; the sums
+    equal the column sums of the per-test matrix exactly."""
+    data = cls_data if task == "classification" else reg_data
+    order, dist = argsort_by_distance(data.x_test, data.x_train)
+    plan = RankPlan.from_order(order, data.y_train, data.y_test, distances=dist)
+    kernel = get_kernel("weighted")
+    assert kernel.select_path(k, weights, task) in ("k1", "piecewise")
+    per_test = kernel.values_from_plan(plan, k, weights=weights, task=task)
+    for keep in (False, True):
+        sums, kept = kernel.column_sums_from_plan(plan, k, keep, weights=weights, task=task)
+        np.testing.assert_array_equal(sums, per_test.sum(axis=0))
+        if keep:
+            np.testing.assert_array_equal(kept, per_test)
+        else:
+            assert kept is None
 
 
 def test_plan_and_kernel_validation(cls_data):

@@ -397,7 +397,7 @@ def test_concurrent_rankings_never_split_past_the_cores(rng, monkeypatch):
     lock = threading.Lock()
     running, peak = [0], [0]
 
-    def counting(a, b):
+    def counting(a, b, norms):
         # a block of a split ranking: on a helper, or on a caller that
         # split.  A splitting caller outlasts its helper, so the idle
         # helper could be claimed again while that caller still runs.
@@ -410,7 +410,7 @@ def test_concurrent_rankings_never_split_past_the_cores(rng, monkeypatch):
         try:
             if not on_helper:
                 time.sleep(0.02 if split else 0.002 * (1 + int(name[7:]) % 4))
-            return real(a, b)
+            return real(a, b, norms)
         finally:
             with lock:
                 running[0] -= split
@@ -478,11 +478,11 @@ def test_no_split_while_another_ranking_holds_the_other_core(rng, monkeypatch):
     real = backends_mod.get_metric("euclidean")
     entered, release = threading.Event(), threading.Event()
 
-    def parked(a, b):
+    def parked(a, b, norms):
         if a.shape[0] == 4:  # the small ranking waits mid-flight
             entered.set()
             release.wait(10)
-        return real(a, b)
+        return real(a, b, norms)
 
     monkeypatch.setattr(backends_mod, "get_metric", lambda name: parked)
     other = threading.Thread(target=backend.rank, args=(queries[:4],))
@@ -504,10 +504,10 @@ def test_helper_errors_reach_the_caller(rng, monkeypatch):
     backend = BruteForceBackend().fit(rng.standard_normal((6000, 4)))
     real = backends_mod.get_metric("euclidean")
 
-    def failing_on_helpers(a, b):
+    def failing_on_helpers(a, b, norms):
         if threading.current_thread().name.startswith("repro-rank-"):
             raise FloatingPointError("helper block failed")
-        return real(a, b)
+        return real(a, b, norms)
 
     monkeypatch.setattr(backends_mod, "get_metric", lambda name: failing_on_helpers)
     with pytest.raises(FloatingPointError):
@@ -543,3 +543,95 @@ def test_engine_rank_span_records_blocks(rng, monkeypatch):
             if span["name"] == "backend.rank"
         ]
         assert [span["attributes"]["blocks"] for span in spans] == [blocks]
+
+
+# ------------------------------------------------------- the norm memo
+def test_norm_memo_follows_the_training_set_through_joins_and_leaves(rng):
+    """Brute rank, query and the mc scan read row norms kept per data
+    array; after every join and leave their answers equal a fresh
+    engine's bit for bit."""
+    data, queries = _market(rng, 3000, 6, 5)
+    labels = rng.integers(0, 2, 3000)
+    test_labels = rng.integers(0, 2, 6)
+    engine = ValuationEngine(data, labels, 3, cache=False)
+
+    def answers(e):
+        rank = e.retrieve(queries)
+        query = e.retrieve(queries, k=20)
+        scan = e.distances(queries)
+        mc = e.value(queries, test_labels, method="mc", n_permutations=3, seed=5)
+        trunc = e.value(queries, test_labels, method="truncated", epsilon=0.25)
+        return [*rank, *query, scan, mc.values, trunc.values]
+
+    answers(engine)  # builds the memo on the initial training set
+    for step in range(4):
+        if step % 2 == 0:
+            engine.add_points(rng.standard_normal((40, 5)), rng.integers(0, 2, 40))
+        else:
+            engine.remove_points(rng.choice(engine.n_train, 25, replace=False))
+        fresh = ValuationEngine(engine.x_train.copy(), engine.y_train.copy(), 3, cache=False)
+        for got, want in zip(answers(engine), answers(fresh)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        index = engine.backend.search_index("euclidean")
+        assert index.data is engine.backend.data
+
+
+def test_mc_scan_on_an_lsh_engine_leaves_the_lsh_index_alone(rng):
+    """The exact-search memo and the LSH index are kept apart: mc
+    requests on an LSH engine, before and after its index is built and
+    through a join and a leave, answer as a fresh engine's, and the LSH
+    answers equal those of a twin engine that never ran mc."""
+    data, queries = _market(rng, 2000, 6, 5)
+    labels = rng.integers(0, 2, 2000)
+    test_labels = rng.integers(0, 2, 6)
+    options = {"backend_options": {"seed": 3}, "cache": False}
+    engine = ValuationEngine(data, labels, 3, backend="lsh", **options)
+    twin = ValuationEngine(data, labels, 3, backend="lsh", **options)
+
+    def lsh(e):
+        return e.value(queries, test_labels, method="lsh", epsilon=0.25).values
+
+    def mc(e):
+        return e.value(queries, test_labels, method="mc", n_permutations=3, seed=5).values
+
+    def fresh_mc():
+        fresh = ValuationEngine(engine.x_train.copy(), engine.y_train.copy(), 3, cache=False)
+        return mc(fresh)
+
+    def same(got, want):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    same(lsh(engine), lsh(twin))
+    same(mc(engine), fresh_mc())  # the LSH index is built: mc must not read it
+    same(mc(engine), fresh_mc())
+    new_x, new_y = rng.standard_normal((40, 5)), rng.integers(0, 2, 40)
+    gone = rng.choice(engine.n_train, 25, replace=False)
+    for e in (engine, twin):
+        e.add_points(new_x, new_y)
+    same(mc(engine), fresh_mc())
+    for e in (engine, twin):
+        e.remove_points(gone)
+    same(mc(engine), fresh_mc())
+    same(lsh(engine), lsh(twin))
+    same(mc(engine), fresh_mc())
+    assert engine.backend.tombstone_ratio == twin.backend.tombstone_ratio
+
+
+def test_norm_memo_is_built_at_first_use_not_at_fit(rng, monkeypatch):
+    import repro.knn.search as search_mod
+
+    calls = []
+    real = search_mod.row_norms
+    monkeypatch.setattr(
+        search_mod, "row_norms", lambda data, metric: calls.append(1) or real(data, metric)
+    )
+    data, queries = _market(rng, 2000, 4, 3)
+    backend = BruteForceBackend().fit(data)
+    assert calls == []
+    backend.query(queries, 5)
+    backend.rank(queries)
+    backend.rank_with_distances(queries)
+    assert len(calls) == 1
+    backend.partial_fit(rng.standard_normal((3, 3)))
+    backend.query(queries, 5)
+    assert len(calls) == 2

@@ -243,3 +243,16 @@ def test_metric_adopted_from_backend_and_conflicts_refused(rng):
             x_train, y_train, 3, metric="euclidean",
             backend="brute", backend_options={"metric": "cosine"},
         )
+
+
+def test_lsh_backend_is_refused_before_it_fits(data, monkeypatch):
+    from repro.engine import LSHNeighborBackend
+
+    fits = []
+    real = LSHNeighborBackend._fit
+    monkeypatch.setattr(
+        LSHNeighborBackend, "_fit", lambda self, x: fits.append(1) or real(self, x)
+    )
+    with pytest.raises(ParameterError, match="full"):
+        IncrementalValuator(data.x_train, data.y_train, 3, backend="lsh")
+    assert fits == []

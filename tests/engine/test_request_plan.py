@@ -198,3 +198,29 @@ def test_plan_rejects_classification_only_methods_for_regression():
     for method in ("truncated", "lsh", "mc"):
         with pytest.raises(ParameterError):
             _plan(method, task="regression")
+
+
+@pytest.mark.parametrize("method", ["exact", "truncated", "weighted", "mc"])
+def test_one_chunk_returns_its_per_test_block_without_a_copy(data, monkeypatch, method):
+    from repro.engine.plan import RequestPlan
+
+    blocks = []
+    real = RequestPlan.chunk_partial
+
+    def recording(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        blocks.append(out[1])
+        return out
+
+    monkeypatch.setattr(RequestPlan, "chunk_partial", recording)
+    kw = {"method": method, "store_per_test": True, "seed": 1}
+    (y_train, y_test), x_train, x_test = data["classification"], data["x_train"], data["x_test"]
+    one = ValuationEngine(x_train, y_train, K, cache=False)
+    res = one.value(x_test, y_test, **kw)
+    assert len(blocks) == 1 and res.extra["per_test"] is blocks[0]
+    blocks.clear()
+    chunked = ValuationEngine(x_train, y_train, K, cache=False, chunk_size=3)
+    split = chunked.value(x_test, y_test, **kw)
+    assert len(blocks) > 1
+    if method != "mc":  # chunks draw their own Monte Carlo streams
+        np.testing.assert_array_equal(split.extra["per_test"], res.extra["per_test"])

@@ -143,3 +143,129 @@ def test_top_k_mixes_tied_and_untied_rows_in_one_batch(rng):
     np.testing.assert_array_equal(idx, order)
     np.testing.assert_array_equal(sel_dist, np.take_along_axis(dist, order, axis=1))
 
+
+
+# ------------------------------------------------- the block-minimum prune
+def _patched_sq(monkeypatch, sq):
+    """Route search's distance lookups to a fixed squared-distance matrix."""
+    import repro.knn.search as search_mod
+
+    def fake(name):
+        def metric(queries, data, norms=None):
+            out = sq.copy()
+            return out if name == "sqeuclidean" else np.sqrt(out, out=out)
+        return metric
+
+    monkeypatch.setattr(search_mod, "get_metric", fake)
+
+
+def _spy_select(monkeypatch):
+    """Record ``(candidate width, pruned)`` for every selection ``top_k`` runs."""
+    import repro.knn.search as search_mod
+
+    widths = []
+    real = search_mod._select
+
+    def spy(dist, k, cols):
+        widths.append((dist.shape[1], cols is not None))
+        return real(dist, k, cols)
+
+    monkeypatch.setattr(search_mod, "_select", spy)
+    return widths
+
+
+def test_prune_falls_back_to_the_whole_row_when_ties_keep_most_blocks(monkeypatch):
+    """Integer data on a line: every block holds a point at the k-th
+    block minimum, so pruning would gather every column."""
+    from repro.knn.search import PRUNE_BLOCK, PRUNE_BLOCKS_PER_K
+
+    n = 2 * PRUNE_BLOCK * PRUNE_BLOCKS_PER_K * 5
+    data = (np.arange(n) % 7).astype(np.float64)[:, None]
+    queries = np.array([[3.0], [0.0], [9.5]])
+    widths = _spy_select(monkeypatch)
+    order, sorted_dist = argsort_by_distance(queries, data)
+    idx, dist = top_k(queries, data, 5)
+    assert widths == [(n, False)]
+    np.testing.assert_array_equal(idx, order[:, :5])
+    np.testing.assert_array_equal(dist.view(np.int64), sorted_dist[:, :5].view(np.int64))
+    # distinct points on the same line keep a few blocks per row: pruned
+    spread = np.arange(n, dtype=np.float64)[:, None]
+    widths.clear()
+    order, sorted_dist = argsort_by_distance(queries, spread)
+    idx, dist = top_k(queries, spread, 5)
+    assert widths == [(5 * PRUNE_BLOCK, True)]  # the five nearest blocks
+    np.testing.assert_array_equal(idx, order[:, :5])
+    np.testing.assert_array_equal(dist.view(np.int64), sorted_dist[:, :5].view(np.int64))
+
+
+def test_prune_keeps_a_block_whose_minimum_ties_only_after_the_root(monkeypatch):
+    """Two squared distances with one square root, in different blocks:
+    the larger squared distance sits at the lower index and must win."""
+    from repro.knn.search import PRUNE_BLOCK, PRUNE_BLOCKS_PER_K
+
+    lo = 2.0
+    hi = np.nextafter(lo, np.inf)
+    assert hi > lo and np.sqrt(hi) == np.sqrt(lo)
+    n = 2 * PRUNE_BLOCK * PRUNE_BLOCKS_PER_K + 7  # pruned at k=1
+    sq = np.full((1, n), 100.0)
+    sq[0, 5] = hi  # block 0
+    sq[0, 2 * PRUNE_BLOCK + 3] = lo  # block 2
+    _patched_sq(monkeypatch, sq)
+    widths = _spy_select(monkeypatch)
+    data, queries = np.zeros((n, 1)), np.zeros((1, 1))
+    idx, dist = top_k(queries, data, 1)
+    assert widths == [(3 * PRUNE_BLOCK, True)]  # blocks 0, 2 and the remainder
+    assert idx.tolist() == [[5]]
+    assert dist[0, 0] == np.sqrt(hi)
+    order, _ = argsort_by_distance(queries, data)
+    assert order[0, 0] == 5
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean", "cosine", "manhattan"])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("q", [1, 3])
+def test_top_k_at_the_prune_threshold(rng, metric, k, q):
+    """N at, just below and just above the prune threshold, as an exact
+    multiple of the block and not; one-decimal data with duplicated rows."""
+    from repro.knn.search import PRUNE_BLOCK, PRUNE_BLOCKS_PER_K
+
+    edge = PRUNE_BLOCK * PRUNE_BLOCKS_PER_K * k
+    for n in (edge - 1, edge, edge + 1, edge + PRUNE_BLOCK):
+        data = np.round(rng.standard_normal((n, 3)), 1)
+        data[rng.choice(n, n // 8)] = data[rng.choice(n, n // 8)]
+        queries = np.round(rng.standard_normal((q, 3)), 1)
+        order, sorted_dist = argsort_by_distance(queries, data, metric=metric)
+        idx, dist = top_k(queries, data, k, metric=metric)
+        np.testing.assert_array_equal(idx, order[:, :k])
+        np.testing.assert_array_equal(
+            dist.view(np.int64), sorted_dist[:, :k].view(np.int64)
+        )
+
+
+def test_index_keeps_its_norms_and_answers_like_the_functions(rng, monkeypatch):
+    import repro.knn.search as search_mod
+
+    calls = []
+    real = search_mod.row_norms
+
+    def counting(data, metric):
+        calls.append(metric)
+        return real(data, metric)
+
+    monkeypatch.setattr(search_mod, "row_norms", counting)
+    data = np.round(rng.standard_normal((3000, 4)), 1)
+    for metric in ("euclidean", "cosine", "manhattan"):
+        index = KNNSearchIndex(data, metric=metric)
+        for _ in range(3):
+            queries = rng.standard_normal((5, 4))
+            for got, want in zip(index.query(queries, 6), top_k(queries, data, 6, metric)):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            for got, want in zip(
+                index.query_all(queries), argsort_by_distance(queries, data, metric)
+            ):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(
+                index.distances(queries), get_metric(metric)(queries, data)
+            )
+    assert calls == ["euclidean", "cosine", "manhattan"]  # once per index
+    assert KNNSearchIndex(data, metric="manhattan").data_norms is None

@@ -10,6 +10,8 @@ Each property mirrors a theorem or axiom from the paper:
 * the engine's packed-key sort == numpy's stable argsort, ties,
   signed zeros and distances differing only in the index bits included;
 * the one-pass top-k selection == numpy's stable argsort, ties included;
+* the block-pruned top-k == the head of the stable ranking, on both
+  sides of the prune threshold;
 * a brute ranking split into row blocks == the same ranking in one block.
 """
 
@@ -30,7 +32,14 @@ from repro.core import (
 from repro.core.heap import KNearestHeap
 from repro.engine import BruteForceBackend
 from repro.engine import backends as backends_mod
-from repro.knn import get_metric, stable_argsort_rows, stable_sort_rows, top_k
+from repro.knn import (
+    argsort_by_distance,
+    get_metric,
+    stable_argsort_rows,
+    stable_sort_rows,
+    top_k,
+)
+from repro.knn.search import PRUNE_BLOCK, PRUNE_BLOCKS_PER_K
 from repro.metrics import max_abs_error
 from repro.types import Dataset
 from repro.utility import KNNClassificationUtility, KNNRegressionUtility
@@ -254,6 +263,42 @@ def test_top_k_matches_numpy_stable_on_ties(instance):
     np.testing.assert_array_equal(
         sel_dist.view(np.int64),
         np.take_along_axis(dist, expected, axis=1).view(np.int64),
+    )
+
+
+@st.composite
+def pruned_search_instances(draw):
+    """Shapes on both sides of top_k's block prune.
+
+    N rarely a multiple of the block, q down to 1, rows copied into
+    other blocks so duplicated points straddle blocks, and one-decimal
+    data whose distances tie across blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    k = draw(st.integers(1, 6))
+    edge = PRUNE_BLOCK * PRUNE_BLOCKS_PER_K * k
+    n = draw(st.integers(max(1, edge - 2 * PRUNE_BLOCK), edge + 3 * PRUNE_BLOCK))
+    d = draw(st.integers(1, 4))
+    data = rng.standard_normal((n, d))
+    queries = rng.standard_normal((draw(st.sampled_from([1, 2, 5])), d))
+    if draw(st.booleans()):
+        data, queries = np.round(data, 1), np.round(queries, 1)
+    copies = draw(st.integers(0, 40))
+    src = rng.integers(0, n, copies)
+    data[(src + PRUNE_BLOCK * rng.integers(1, 4, copies)) % n] = data[src]
+    metric = draw(st.sampled_from(["euclidean", "sqeuclidean", "cosine", "manhattan"]))
+    return queries, data, k, metric
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=pruned_search_instances())
+def test_pruned_top_k_is_the_head_of_the_stable_ranking(instance):
+    queries, data, k, metric = instance
+    order, sorted_dist = argsort_by_distance(queries, data, metric=metric)
+    idx, dist = top_k(queries, data, k, metric=metric)
+    np.testing.assert_array_equal(idx, order[:, :k])
+    np.testing.assert_array_equal(
+        dist.view(np.int64), sorted_dist[:, :k].view(np.int64)
     )
 
 

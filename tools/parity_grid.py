@@ -10,7 +10,10 @@ cache-hit repeat, tie-heavy data, distance-weighted regression (the
 configuration engine on the regression task), a multi-chunk
 data-sharded request after mutations, exact and weighted requests
 large enough for the brute backend to split their ranking into row
-blocks (q=64, N=6000, 2% duplicate rows, cold then cached), cached
+blocks (q=64, N=6000, 2% duplicate rows, cold then cached), truncated
+requests on that set and on a one-decimal copy at eps 0.25 and 0.05
+(on both sides of the top-K* block prune, engine and 2-shard router),
+cached
 engines (one alone, two on one shared cache) through a join and a
 leave, and the two dynamic layers: an ``IncrementalValuator`` (brute
 and blocked: fit, join, leave; ``values()`` and ``recompute()``) and
@@ -125,6 +128,21 @@ def grid():
         for rep in range(2):
             r = eng.value(market.x_test, market.y_test, method=method, **METHODS[method])
             out[f"market/engine/{method}/{rep}"] = r.values
+    # exact top-K* retrieval on both sides of its block-minimum prune:
+    # at eps=0.25 (K*=5) every row has enough 128-column blocks to be
+    # pruned, at eps=0.05 (K*=20) a 3000-row shard has too few; the
+    # one-decimal copy ties many distances across blocks
+    dec = np.round(market.x_train, 1), np.round(market.x_test, 1)
+    for dname, (xtr, xte) in (("market", (market.x_train, market.x_test)), ("market-dec", dec)):
+        for eps in (0.25, 0.05):
+            kw = {"method": "truncated", "epsilon": eps, "store_per_test": True}
+            r = ValuationEngine(xtr, market.y_train, 5).value(xte, market.y_test, **kw)
+            out[f"{dname}/truncated/{eps}/engine"] = r.values
+            out[f"{dname}/truncated/{eps}/engine/pt"] = r.extra["per_test"]
+            with ShardRouter(xtr, market.y_train, 5, n_shards=2) as router:
+                r = router.value(xte, market.y_test, **kw)
+            out[f"{dname}/truncated/{eps}/router"] = r.values
+            out[f"{dname}/truncated/{eps}/router/pt"] = r.extra["per_test"]
     # cached engines through a seller join and leave: value, join, value
     # twice (a miss, then a hit), leave, value twice; "shared" runs two
     # engines with one history on one RankCache, the second hitting the
